@@ -74,7 +74,6 @@ measure(bool cache_on, uint64_t cache_bytes, size_t cache_shards,
     server_options.workloads = {"NVSA"};
     server_options.workers = 2;
     server_options.maxBatch = 4;
-    server_options.maxWaitUs = 2000;
     server_options.factory = serve::serveFactory;
     server_options.resultCache = cache_on;
     server_options.cacheBytes = cache_bytes;

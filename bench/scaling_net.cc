@@ -56,7 +56,6 @@ backendOptions(const std::string &workload)
     options.workloads = {workload};
     options.workers = 1;
     options.maxBatch = 1;
-    options.maxWaitUs = 500;
     options.factory = serve::serveFactory;
     options.resultCache = true;
     // ~24 entries at the cache's per-entry cost: a third of the seed

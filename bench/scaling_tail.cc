@@ -139,7 +139,6 @@ backendOptions(bool slow)
     options.workloads = {kWorkload};
     options.workers = 2;
     options.maxBatch = 1;
-    options.maxWaitUs = 500;
     // No result cache: a cached answer skips run() and with it the
     // injected delay, which would hide the very tail under test.
     options.resultCache = false;

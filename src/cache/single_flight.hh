@@ -2,13 +2,12 @@
  * @file
  * Single-flight request coalescing.
  *
- * When several requests miss the result cache on the same key at the
- * same time, only the first (the leader) should execute; the rest
+ * When several requests for the same key are in flight at the same
+ * time, only the first (the leader) should execute; the rest
  * (followers) park their completion callbacks here and are fanned the
- * leader's result when it lands. This is the cross-request analogue of
- * the batcher's same-seed coalescing: the batcher dedupes within one
- * batch window, single-flight dedupes across the whole in-flight
- * lifetime of a key.
+ * leader's result when it lands. The serve layer routes every request
+ * through here, cached or not, so it dedupes across the whole
+ * in-flight lifetime of a key.
  */
 
 #ifndef NSBENCH_CACHE_SINGLE_FLIGHT_HH
@@ -67,6 +66,24 @@ template <typename Waiter> class SingleFlight
         std::vector<Waiter> waiters = std::move(it->second);
         flights_.erase(it);
         return waiters;
+    }
+
+    /**
+     * Ends the flight for @p key only if no follower is parked on it;
+     * returns whether it ended. Lets a leader that will not run drop
+     * its flight without racing a follower that is joining.
+     */
+    bool
+    finishIfIdle(const std::string &key)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = flights_.find(key);
+        if (it == flights_.end())
+            return true;
+        if (!it->second.empty())
+            return false;
+        flights_.erase(it);
+        return true;
     }
 
     /** Number of keys currently in flight (for tests). */

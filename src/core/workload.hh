@@ -92,8 +92,7 @@ class Workload
      * before. The serving runtime calls this once per request so
      * long-lived replicas amortize setUp() across requests while
      * keeping the determinism contract: a request with a fixed seed
-     * scores identically on every replica, at every batch size, in
-     * every arrival order.
+     * scores identically on every replica, in every arrival order.
      *
      * The default rebuilds everything via setUp(seed) — always
      * correct, never cheap; workloads override it to reset only
@@ -105,8 +104,8 @@ class Workload
      * True when run()'s score depends on the episode seed. Workloads
      * that evaluate a fixed benchmark built at setUp() time (so
      * every run is the identical computation) return false, which
-     * lets the serving batcher coalesce *all* their concurrent
-     * requests into shared executions rather than only same-seed
+     * lets the server's single-flight merge *all* their concurrent
+     * requests onto shared executions rather than only same-seed
      * ones.
      */
     virtual bool seedSensitive() const { return true; }

@@ -15,8 +15,9 @@
  *
  * Request seeds draw from a bounded seed universe under an optional
  * Zipf popularity skew, modelling the repeated-query locality that
- * makes coalescing effective for seed-sensitive workloads; the
- * workload of each request draws from a configurable mix.
+ * makes single-flight sharing effective for seed-sensitive
+ * workloads; the workload of each request draws from a configurable
+ * mix.
  */
 
 #ifndef NSBENCH_SERVE_LOADGEN_HH

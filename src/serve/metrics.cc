@@ -83,7 +83,6 @@ ServerMetrics::recordBatch(const std::string &workload,
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto add = [occupancy](WorkloadMetrics &m) {
-        m.batches++;
         m.batchOccupancy.add(static_cast<double>(occupancy));
     };
     add(perWorkload_[workload]);

@@ -54,7 +54,6 @@ struct WorkloadMetrics
                                      ///< and pruned before execution.
     uint64_t failed = 0;             ///< Failed after every retry.
     uint64_t executions = 0;         ///< Actual run() invocations.
-    uint64_t batches = 0;            ///< Batches dispatched.
     uint64_t cacheHits = 0;          ///< Result-cache hits at admission.
     uint64_t cacheMisses = 0;        ///< Result-cache misses.
     uint64_t cacheEvictions = 0;     ///< Result-cache entries evicted.
@@ -72,7 +71,7 @@ struct WorkloadMetrics
     util::TailStats latency;         ///< End-to-end seconds (Ok only).
     util::RunningStat queueWait;     ///< Submit -> execution start.
     util::RunningStat service;       ///< run() wall seconds/execution.
-    util::RunningStat batchOccupancy;///< Requests per dispatched batch.
+    util::RunningStat batchOccupancy;///< Requests per worker dispatch.
     double neuralSeconds = 0.0;      ///< Summed neural-phase op time.
     double symbolicSeconds = 0.0;    ///< Summed symbolic-phase op time.
 
@@ -99,17 +98,7 @@ struct WorkloadMetrics
                         : 1.0;
     }
 
-    /**
-     * Completions served without their own run(): requests the
-     * batcher coalesced onto a shared execution.
-     */
-    uint64_t
-    coalesced() const
-    {
-        return completed > executions ? completed - executions : 0;
-    }
-
-    /** Completions per execution; 1.0 when nothing coalesced. */
+    /** Completions per execution; 1.0 when nothing was shared. */
     double
     shareFactor() const
     {
@@ -159,8 +148,8 @@ struct NetStats
 };
 
 /**
- * Thread-safe metrics sink shared by the admission path, the batcher
- * and the workers.
+ * Thread-safe metrics sink shared by the admission path and the
+ * workers.
  */
 class ServerMetrics
 {
@@ -172,7 +161,7 @@ class ServerMetrics
     void recordRejected(const std::string &workload,
                         RequestStatus status);
 
-    /** Notes a dispatched batch of @p occupancy requests. */
+    /** Notes a worker dispatch of @p occupancy requests. */
     void recordBatch(const std::string &workload, size_t occupancy);
 
     /** Notes one run() execution taking @p serviceSeconds. */

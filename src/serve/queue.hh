@@ -4,10 +4,10 @@
  *
  * A mutex-and-condvar ring with a hard capacity. Admission control
  * builds on tryPush (full queue -> reject, never block the client);
- * the batcher and workers build on the blocking pop family. close()
- * starts a graceful drain: pushes fail immediately, pops keep
- * returning queued items until the queue is empty and only then
- * report exhaustion, so nothing admitted is ever dropped.
+ * the workers build on the blocking pop family. close() starts a
+ * graceful drain: pushes fail immediately, pops keep returning queued
+ * items until the queue is empty and only then report exhaustion, so
+ * nothing admitted is ever dropped.
  */
 
 #ifndef NSBENCH_SERVE_QUEUE_HH
@@ -21,6 +21,7 @@
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "serve/request.hh"
 #include "util/failpoint.hh"
@@ -70,8 +71,7 @@ class BoundedQueue
 
     /**
      * Enqueues, blocking while the queue is full. Returns false when
-     * the queue is (or becomes) closed — internal backpressure
-     * between the batcher and the workers.
+     * the queue is (or becomes) closed.
      */
     bool
     push(T item)
@@ -132,6 +132,29 @@ class BoundedQueue
     }
 
     /**
+     * Dequeues, without blocking, up to @p max items from the head
+     * while @p match accepts them, appending them to @p out. Stops at
+     * the first item @p match rejects, so queue order is kept.
+     */
+    template <typename Match>
+    void
+    tryPopWhile(Match match, size_t max, std::vector<T> *out)
+    {
+        size_t taken = 0;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            while (taken < max && !items_.empty() &&
+                   match(items_.front())) {
+                out->push_back(std::move(items_.front()));
+                items_.pop_front();
+                taken++;
+            }
+        }
+        for (size_t i = 0; i < taken; i++)
+            canPush_.notify_one();
+    }
+
+    /**
      * Closes the queue: subsequent pushes fail, pops drain what is
      * already queued. Idempotent.
      */
@@ -176,8 +199,8 @@ class BoundedQueue
   private:
     /**
      * Chaos site: a consumer stall. The blocked time models a worker
-     * or batcher hiccup — items are delayed, never dropped, so the
-     * close/drain protocol's guarantees are what's under test.
+     * hiccup — items are delayed, never dropped, so the close/drain
+     * protocol's guarantees are what's under test.
      */
     static void
     injectStall()

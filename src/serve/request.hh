@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace nsbench::serve
 {
@@ -98,11 +97,11 @@ struct Response
     double serviceSeconds = 0.0; ///< run() wall time of the execution.
     double neuralSeconds = 0.0;  ///< Profiler neural-phase op time.
     double symbolicSeconds = 0.0;///< Profiler symbolic-phase op time.
-    int batchSize = 0;           ///< Requests in the executed batch.
+    int batchSize = 0;           ///< Requests in the dispatched group.
     int shared = 0;              ///< Requests sharing this execution.
     bool cached = false;         ///< Served from the result cache.
     bool stale = false;          ///< Cache fallback after a failed run.
-    bool pipelined = false;      ///< Ran in a stage-pipelined batch.
+    bool pipelined = false;      ///< Ran in a stage-pipelined group.
     int retries = 0;             ///< Failed attempts before this outcome.
 };
 
@@ -113,8 +112,9 @@ using Callback = std::function<void(const Response &)>;
  * Shared cancellation flag. The submitter creates it, passes it to
  * submit(), and may set it at any time afterwards; workers check it
  * when they pick the request up and answer Canceled instead of
- * running it. Advisory: a request already executing (or served from
- * cache, or parked as a single-flight follower) completes normally.
+ * running it, and a parked single-flight follower is answered
+ * Canceled when its leader lands. Advisory: a request already
+ * executing (or served from cache) completes normally.
  */
 using CancelToken = std::shared_ptr<std::atomic<bool>>;
 
@@ -128,13 +128,12 @@ struct Request
     TimePoint deadline = TimePoint::max();
     Callback done;
     CancelToken cancel; ///< Null when the request is not cancelable.
-};
-
-/** A batcher-coalesced group of same-workload requests. */
-struct Batch
-{
-    std::string workload;
-    std::vector<Request> requests;
+    /** Single-flight key: (workload, model seed, effective seed). A
+     *  queued request is the leader of its key's flight. */
+    std::string key;
+    /** The leader was answered Canceled/Expired while its flight
+     *  stays open to run for the followers parked behind it. */
+    bool pruned = false;
 };
 
 /** Seconds between two serve-clock points. */

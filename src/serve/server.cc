@@ -54,13 +54,7 @@ backoffFor(int64_t base_us, int attempt)
 } // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)),
-      admission_(options_.queueCapacity),
-      batches_(options_.batchQueueCapacity
-                   ? options_.batchQueueCapacity
-                   : 2 * static_cast<size_t>(
-                             options_.workers > 0 ? options_.workers
-                                                  : 1))
+    : options_(std::move(options)), admission_(options_.queueCapacity)
 {
     util::panicIf(options_.workloads.empty(),
                   "Server: no workloads to serve");
@@ -75,22 +69,17 @@ Server::Server(ServerOptions options)
         cacheOptions.shards = options_.cacheShards;
         cache_ =
             std::make_unique<cache::ResultCache>(cacheOptions);
-        // Probe each workload's seed sensitivity once: insensitive
-        // workloads fold every episode seed onto one cache entry.
-        // Construction is cheap (setUp is where the cost lives).
-        for (const auto &name : options_.workloads) {
-            auto probe = options_.factory(name);
-            util::panicIf(!probe,
-                          "Server: factory returned null for " +
-                              name);
-            seedSensitive_[name] = probe->seedSensitive();
-        }
     }
-
-    batcher_ = std::make_unique<Batcher>(
-        admission_, batches_, options_.maxBatch,
-        std::chrono::microseconds(options_.maxWaitUs), metrics_);
-    batcherThread_ = std::thread([this] { batcher_->run(); });
+    // Probe each workload's seed sensitivity once: insensitive
+    // workloads fold every episode seed onto one single-flight key
+    // (and one cache entry). Construction is cheap (setUp is where
+    // the cost lives).
+    for (const auto &name : options_.workloads) {
+        auto probe = options_.factory(name);
+        util::panicIf(!probe,
+                      "Server: factory returned null for " + name);
+        seedSensitive_[name] = probe->seedSensitive();
+    }
 
     workers_.reserve(static_cast<size_t>(options_.workers));
     for (int i = 0; i < options_.workers; ++i)
@@ -142,17 +131,15 @@ Server::submit(const std::string &workload, uint64_t seed,
         return RequestStatus::RejectedDeadline;
     }
 
-    std::string key;
-    if (cache_) {
-        // Seed-insensitive workloads score identically for every
-        // episode seed; canonicalise onto seed 0 so all of them share
-        // one entry.
-        key = cache::ResultCache::keyString(
-            workload, options_.modelSeed,
-            seedSensitive_.at(workload) ? seed : 0);
+    // Seed-insensitive workloads score identically for every episode
+    // seed; canonicalise onto seed 0 so all of them share one key.
+    const std::string key = cache::ResultCache::keyString(
+        workload, options_.modelSeed,
+        seedSensitive_.at(workload) ? seed : 0);
+    request.key = key;
+    if (cache_ && options_.cacheAdmissionLookup) {
         double score = 0.0;
-        if (options_.cacheAdmissionLookup &&
-            cache_->lookup(key, &score)) {
+        if (cache_->lookup(key, &score)) {
             metrics_.recordCacheHit(workload);
             metrics_.recordAdmitted(workload);
             Response response;
@@ -166,28 +153,19 @@ Server::submit(const std::string &workload, uint64_t seed,
             deliver(workload, request.done, response);
             return RequestStatus::Ok;
         }
-        if (options_.cacheAdmissionLookup)
-            metrics_.recordCacheMiss(workload);
-
-        // Single-flight: park this request behind an in-flight miss
-        // on the same key; the leader's completion fans out to it.
-        Flight flight;
-        flight.id = request.id;
-        flight.enqueue = request.enqueue;
-        flight.deadline = request.deadline;
-        flight.done = request.done;
-        if (flights_.join(key, std::move(flight)) ==
-            cache::SingleFlight<Flight>::Role::Follower)
-            return RequestStatus::Ok;
-
-        // Leader: wrap the callback so completion (or queue expiry)
-        // caches the score and releases the followers.
-        Callback inner = std::move(request.done);
-        request.done = [this, workload, key,
-                        inner](const Response &response) {
-            finishFlight(workload, key, inner, response);
-        };
+        metrics_.recordCacheMiss(workload);
     }
+
+    // Single-flight: park this request behind an in-flight request
+    // for the same key; the leader's completion fans out to it.
+    Flight flight;
+    flight.enqueue = request.enqueue;
+    flight.deadline = request.deadline;
+    flight.done = request.done;
+    flight.cancel = request.cancel;
+    if (flights_.join(key, std::move(flight)) ==
+        cache::SingleFlight<Flight>::Role::Follower)
+        return RequestStatus::Ok;
 
     // Overload gate: shed before the queue is hard-full so waits stay
     // bounded and the rejection is distinguishable from backpressure.
@@ -219,8 +197,7 @@ Server::submit(const std::string &workload, uint64_t seed,
                        ? RequestStatus::RejectedShutdown
                        : RequestStatus::RejectedQueueFull;
         metrics_.recordRejected(workload, status);
-        if (cache_)
-            abortFlight(workload, key, status);
+        abortFlight(workload, key, status);
         return status;
     }
     metrics_.recordAdmitted(workload);
@@ -243,47 +220,6 @@ Server::deliver(const std::string &workload, const Callback &done,
             throw FaultInjected();
     } catch (...) {
         metrics_.recordCallbackFailure(workload);
-    }
-}
-
-void
-Server::finishFlight(const std::string &workload,
-                     const std::string &key, const Callback &inner,
-                     const Response &response)
-{
-    if (response.status == RequestStatus::Ok) {
-        uint64_t evicted = cache_->insert(key, response.score);
-        metrics_.recordCacheEvictions(workload, evicted);
-    }
-    // Insert-then-finish: a request arriving in between hits the
-    // fresh cache entry directly, so nobody can join a dead flight.
-    std::vector<Flight> waiters = flights_.finish(key);
-    deliver(workload, inner, response);
-    if (waiters.empty())
-        return;
-    metrics_.recordSingleFlight(workload, waiters.size());
-
-    TimePoint now = ServeClock::now();
-    for (Flight &waiter : waiters) {
-        Response fanned = response;
-        // The follower shares the leader's execution but not its
-        // timeline; phase seconds are zeroed so the leader's
-        // share-divided attribution stays one-pass exact.
-        fanned.shared = 1;
-        fanned.neuralSeconds = 0.0;
-        fanned.symbolicSeconds = 0.0;
-        fanned.latencySeconds = secondsBetween(waiter.enqueue, now);
-        fanned.queueSeconds =
-            std::max(0.0, fanned.latencySeconds -
-                              fanned.serviceSeconds);
-        if (fanned.status == RequestStatus::Ok &&
-            waiter.deadline <= now) {
-            fanned.status = RequestStatus::Expired;
-            fanned.queueSeconds = fanned.latencySeconds;
-        }
-        metrics_.recordAdmitted(workload);
-        metrics_.recordOutcome(workload, fanned);
-        deliver(workload, waiter.done, fanned);
     }
 }
 
@@ -327,11 +263,8 @@ Server::shutdown()
     admission_.close();
     if (joined_.exchange(true))
         return;
-    // The batcher drains the admission queue, flushes its pending
-    // batches and closes the batch queue; the workers then drain the
-    // batch queue and exit. Every admitted request completes.
-    if (batcherThread_.joinable())
-        batcherThread_.join();
+    // The workers drain the closed admission queue and exit once it
+    // is empty, so every admitted request completes.
     for (auto &worker : workers_)
         if (worker.joinable())
             worker.join();
@@ -348,7 +281,7 @@ Server::noteSojourn(int64_t sojournUs)
     do {
         next = prev - prev / 8 + sojournUs / 8;
         // First sample seeds the estimate so a cold server does not
-        // take eight batches to notice a stuck queue.
+        // take eight dispatches to notice a stuck queue.
         if (prev == 0)
             next = sojournUs;
     } while (!sojournEwmaUs_.compare_exchange_weak(
@@ -409,321 +342,280 @@ Server::workerMain(int workerIndex)
     }
     readyCv_.notify_all();
 
-    while (auto batch = batches_.pop())
-        runBatchOn(replicas, *batch);
+    while (auto request = admission_.pop())
+        dispatch(replicas, std::move(*request));
 }
 
 void
-Server::runBatchOn(std::map<std::string, Replica> &replicas,
-                   const Batch &batch)
+Server::dispatch(std::map<std::string, Replica> &replicas,
+                 Request first)
 {
-    auto it = replicas.find(batch.workload);
+    auto it = replicas.find(first.workload);
     util::panicIf(it == replicas.end(),
-                  "Server: batch for unserved workload " +
-                      batch.workload);
+                  "Server: request for unserved workload " +
+                      first.workload);
     Replica &replica = it->second;
-    const int batchSize = static_cast<int>(batch.requests.size());
+    const std::string workload = first.workload;
 
-    // Feed the adaptive shed gate: the batch's mean queue sojourn is
-    // one EWMA sample (per-request folding would just weight bursts).
-    if (options_.targetSojournUs > 0 && batchSize > 0) {
-        TimePoint dispatch = ServeClock::now();
+    // Stage pipelining needs two or more executions to overlap: take
+    // the same-workload requests queued right behind this one. Each
+    // is a distinct key, since single-flight parked the duplicates.
+    // Skipped while fault injection is armed: the serial path owns
+    // the retry / replica-replacement / stale-fallback semantics,
+    // and extra stage threads would perturb the fault schedule.
+    std::vector<Request> group;
+    group.push_back(std::move(first));
+    if (options_.pipelineDepth > 0 && options_.maxBatch > 1 &&
+        replica.workload->stageCount() > 1 && !fp::armed())
+        admission_.tryPopWhile(
+            [&](const Request &next) {
+                return next.workload == workload;
+            },
+            static_cast<size_t>(options_.maxBatch) - 1, &group);
+    const int batchSize = static_cast<int>(group.size());
+    metrics_.recordBatch(workload, group.size());
+
+    // Feed the adaptive shed gate and drop what no longer needs a
+    // run. The group's mean queue sojourn is one EWMA sample
+    // (per-request folding would just weight bursts).
+    TimePoint now = ServeClock::now();
+    if (options_.targetSojournUs > 0) {
         int64_t total_us = 0;
-        for (const Request &request : batch.requests)
+        for (const Request &request : group)
             total_us +=
                 std::chrono::duration_cast<std::chrono::microseconds>(
-                    dispatch - request.enqueue)
+                    now - request.enqueue)
                     .count();
         noteSojourn(total_us / batchSize);
     }
+    std::vector<Request> live;
+    for (Request &request : group)
+        if (prune(request, now))
+            live.push_back(std::move(request));
 
-    // Group the batch into executions. Coalescing folds requests with
-    // the same effective seed onto one shared run(); seed-insensitive
-    // workloads ignore the seed entirely, so their whole batch is one
-    // group. With coalescing off every request runs alone, in arrival
-    // order. (No reference to *replica.workload is cached across
-    // attempts — the supervisor may swap the replica mid-group.)
-    const bool seedMatters = replica.workload->seedSensitive();
-    std::vector<std::pair<uint64_t, std::vector<const Request *>>>
-        groups;
-    if (options_.coalesce) {
-        std::map<uint64_t, size_t> index;
-        for (const Request &request : batch.requests) {
-            uint64_t key = seedMatters ? request.seed : 0;
-            auto found = index.find(key);
-            if (found == index.end()) {
-                index.emplace(key, groups.size());
-                groups.push_back({request.seed, {&request}});
-            } else {
-                groups[found->second].second.push_back(&request);
-            }
-        }
-    } else {
-        for (const Request &request : batch.requests)
-            groups.push_back({request.seed, {&request}});
+    if (live.size() >= 2 && runPipelinedGroup(replica, live, batchSize))
+        return;
+    // A pipeline failure with no faults armed is a real workload
+    // error: the serial path re-runs each request and applies the
+    // normal failure handling to it.
+    for (Request &request : live)
+        runSerial(replica, request, batchSize);
+}
+
+bool
+Server::prune(Request &request, TimePoint now)
+{
+    bool canceled = request.cancel &&
+                    request.cancel->load(std::memory_order_relaxed);
+    if (request.pruned || (!canceled && request.deadline > now))
+        return true;
+    Response pruned;
+    pruned.status =
+        canceled ? RequestStatus::Canceled : RequestStatus::Expired;
+    pruned.latencySeconds = secondsBetween(request.enqueue, now);
+    pruned.queueSeconds = pruned.latencySeconds;
+    metrics_.recordOutcome(request.workload, pruned);
+    deliver(request.workload, request.done, pruned);
+    request.pruned = true;
+    return !flights_.finishIfIdle(request.key);
+}
+
+bool
+Server::runPipelinedGroup(Replica &replica, std::vector<Request> &group,
+                          int batchSize)
+{
+    std::vector<uint64_t> seeds;
+    seeds.reserve(group.size());
+    for (const Request &request : group)
+        seeds.push_back(request.seed);
+    exec::PipelineOptions pipeOptions;
+    pipeOptions.depth = options_.pipelineDepth;
+    // Stage timers are enough here: the neural/symbolic split is
+    // attributed stage-granularly from StageSpec below, without
+    // paying per-op profiling on the serving path.
+    pipeOptions.collectProfiles = false;
+    TimePoint start = ServeClock::now();
+    exec::PipelineResult piped;
+    try {
+        piped = exec::runPipelined(*replica.workload, seeds,
+                                   pipeOptions);
+    } catch (...) {
+        return false;
     }
+    for (size_t g = 0; g < group.size(); g++) {
+        Response outcome;
+        outcome.score = piped.scores[g];
+        outcome.batchSize = batchSize;
+        outcome.pipelined = true;
+        const auto &stageDt = piped.episodeStageSeconds[g];
+        for (size_t s = 0; s < stageDt.size(); s++) {
+            outcome.serviceSeconds += stageDt[s];
+            if (piped.stages[s].phase == core::Phase::Neural)
+                outcome.neuralSeconds += stageDt[s];
+            else if (piped.stages[s].phase == core::Phase::Symbolic)
+                outcome.symbolicSeconds += stageDt[s];
+        }
+        metrics_.recordExecution(group[g].workload,
+                                 outcome.serviceSeconds);
+        complete(group[g], outcome, start);
+    }
+    return true;
+}
 
-    // Intra-replica stage pipelining: with pipelineDepth set, a
-    // staged workload, and at least two executions to overlap, run
-    // every group through the stage pipeline up front — one pipeline
-    // episode per group, seeded with that group's seed — and deliver
-    // the scores from the per-group loop below. Byte-identity with
-    // the serial path is the staged-interface contract (enforced by
-    // the pipeline test tier). Skipped while fault injection is
-    // armed: the serial loop owns the retry / replica-replacement /
-    // stale-fallback semantics, and routing executions through extra
-    // threads would perturb the deterministic fault schedule.
-    const int stageCount = replica.workload->stageCount();
-    std::vector<double> pipeScore, pipeService;
-    std::vector<double> pipeNeural, pipeSymbolic;
-    bool pipelined = false;
-    TimePoint pipeStart{};
-    if (options_.pipelineDepth > 0 && groups.size() >= 2 &&
-        stageCount > 1 && !fp::armed()) {
-        std::vector<uint64_t> seeds;
-        seeds.reserve(groups.size());
-        for (const auto &group : groups)
-            seeds.push_back(group.first);
-        exec::PipelineOptions pipeOptions;
-        pipeOptions.depth = options_.pipelineDepth;
-        // Stage timers are enough here: the neural/symbolic split is
-        // attributed stage-granularly from StageSpec below, without
-        // paying per-op profiling on the serving path.
-        pipeOptions.collectProfiles = false;
-        pipeStart = ServeClock::now();
+void
+Server::runSerial(Replica &replica, Request &request, int batchSize)
+{
+    TimePoint start = ServeClock::now();
+    Response outcome;
+    outcome.batchSize = batchSize;
+    // Bounded retry with exponential backoff. A poisoned replica is
+    // rebuilt by the supervisor before the next attempt; a transient
+    // fault retries on the replica as-is. Each backoff re-prunes, so
+    // a long outage never runs work whose deadline already passed or
+    // whose submitter already gave up (a losing hedge).
+    bool succeeded = false;
+    while (true) {
         try {
-            exec::PipelineResult piped = exec::runPipelined(
-                *replica.workload, seeds, pipeOptions);
-            pipeScore = piped.scores;
-            pipeService.assign(groups.size(), 0.0);
-            pipeNeural.assign(groups.size(), 0.0);
-            pipeSymbolic.assign(groups.size(), 0.0);
-            for (size_t g = 0; g < groups.size(); g++) {
-                const auto &stageDt = piped.episodeStageSeconds[g];
-                for (int s = 0; s < stageCount; s++) {
-                    double dt = stageDt[static_cast<size_t>(s)];
-                    pipeService[g] += dt;
-                    switch (piped.stages[static_cast<size_t>(s)]
-                                .phase) {
-                    case core::Phase::Neural:
-                        pipeNeural[g] += dt;
-                        break;
-                    case core::Phase::Symbolic:
-                        pipeSymbolic[g] += dt;
-                        break;
-                    default:
-                        break;
-                    }
-                }
-            }
-            pipelined = true;
+            attempt(replica, request.seed, outcome);
+            succeeded = true;
+            break;
+        } catch (const ReplicaPoisoned &) {
+            metrics_.recordWorkerFault(request.workload);
+            rebuildReplica(request.workload, replica);
         } catch (...) {
-            // No faults are armed, so a stage failure is a real
-            // workload error; the serial loop below re-runs every
-            // group and applies the normal failure handling to it.
+            metrics_.recordWorkerFault(request.workload);
         }
+        if (outcome.retries >= options_.maxRetries)
+            break;
+        outcome.retries++;
+        metrics_.recordRetry(request.workload);
+        std::this_thread::sleep_for(
+            backoffFor(options_.retryBackoffUs, outcome.retries));
+        if (!prune(request, ServeClock::now()))
+            return;
     }
 
-    for (size_t groupIndex = 0; groupIndex < groups.size();
-         groupIndex++) {
-        auto &[seed, members] = groups[groupIndex];
-        // Complete queue-expired and canceled members without running
-        // them; the retry loop re-prunes after each backoff so a long
-        // outage never runs work whose deadline already passed or
-        // whose submitter already gave up (a losing hedge).
-        TimePoint start = ServeClock::now();
-        std::vector<const Request *> live(members.begin(),
-                                          members.end());
-        auto pruneExpired = [&](TimePoint now) {
-            std::vector<const Request *> keep;
-            keep.reserve(live.size());
-            for (const Request *request : live) {
-                bool canceled =
-                    request->cancel &&
-                    request->cancel->load(std::memory_order_relaxed);
-                if (!canceled && request->deadline > now) {
-                    keep.push_back(request);
-                    continue;
-                }
-                Response pruned;
-                pruned.status = canceled ? RequestStatus::Canceled
-                                         : RequestStatus::Expired;
-                pruned.latencySeconds =
-                    secondsBetween(request->enqueue, now);
-                pruned.queueSeconds = pruned.latencySeconds;
-                pruned.batchSize = batchSize;
-                metrics_.recordOutcome(batch.workload, pruned);
-                deliver(batch.workload, request->done, pruned);
-            }
-            live.swap(keep);
-        };
-        pruneExpired(start);
-        if (live.empty())
-            continue;
+    if (succeeded) {
+        metrics_.recordExecution(request.workload,
+                                 outcome.serviceSeconds);
+    } else if (double stale = 0.0;
+               cache_ && options_.staleFallback &&
+               cache_->lookup(request.key, &stale)) {
+        // Serve-stale fallback: answer from the last cached score
+        // for this key (byte-exact by the determinism contract, but
+        // marked stale — the mechanism is generic).
+        outcome.score = stale;
+        outcome.cached = true;
+        outcome.stale = true;
+    } else {
+        outcome.status = RequestStatus::Failed;
+    }
+    complete(request, outcome, start);
+}
 
-        if (pipelined) {
-            // The group already executed in the pipeline pre-pass;
-            // deliver its score with the same accounting as the
-            // serial success path. Queue time ends when the pipeline
-            // started, since that is when execution began.
-            metrics_.recordExecution(batch.workload,
-                                     pipeService[groupIndex]);
-            TimePoint end = ServeClock::now();
-            for (const Request *request : live) {
-                Response response;
-                response.status = RequestStatus::Ok;
-                response.score = pipeScore[groupIndex];
-                response.latencySeconds =
-                    secondsBetween(request->enqueue, end);
-                response.queueSeconds =
-                    secondsBetween(request->enqueue, pipeStart);
-                response.serviceSeconds = pipeService[groupIndex];
-                response.neuralSeconds = pipeNeural[groupIndex];
-                response.symbolicSeconds = pipeSymbolic[groupIndex];
-                response.batchSize = batchSize;
-                response.shared = static_cast<int>(live.size());
-                response.pipelined = true;
-                metrics_.recordOutcome(batch.workload, response);
-                deliver(batch.workload, request->done, response);
-            }
-            continue;
-        }
+void
+Server::attempt(Replica &replica, uint64_t seed, Response &outcome)
+{
+    // Always re-entered through replica.workload (never a cached
+    // reference): a poisoned attempt may have swapped in a fresh
+    // replica.
+    core::Profiler::ThreadTargetScope target(replica.profiler);
+    if (options_.profilePhases) {
+        // reset() also makes this worker the profiler's owner, so
+        // every inline-executed op applies directly.
+        replica.profiler.reset();
+    } else {
+        replica.profiler.setEnabled(false);
+    }
+    if (replica.workload->seedSensitive())
+        replica.workload->reseedEpisodes(seed);
+    util::WallTimer timer;
+    try {
+        // A firing delay site sleeps in evaluate() and returns false:
+        // the stall lands inside the measured service time — the
+        // slow-not-dead shard the tail layer (breaker + hedging)
+        // exists to route around.
+        NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
+        if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
+            throw ReplicaPoisoned();
+        if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
+            throw FaultInjected();
+        outcome.score = replica.workload->run();
+    } catch (...) {
+        // Drain the aborted attempt's op buffer while this scope
+        // still targets the replica profiler, so the next attempt's
+        // phase split starts clean.
+        core::Profiler::flushThisThread();
+        throw;
+    }
+    outcome.serviceSeconds = timer.elapsed();
+    core::Profiler::flushThisThread();
+    if (options_.profilePhases) {
+        outcome.neuralSeconds =
+            replica.profiler.phaseTotals(core::Phase::Neural).seconds;
+        outcome.symbolicSeconds =
+            replica.profiler.phaseTotals(core::Phase::Symbolic)
+                .seconds;
+    }
+}
 
-        double score = 0.0;
-        double service = 0.0;
-        double neural = 0.0;
-        double symbolic = 0.0;
-        // One run() attempt on the current replica. Must be re-entered
-        // through replica.workload (not a cached reference): a
-        // poisoned attempt may have swapped in a fresh replica.
-        auto executeOnce = [&] {
-            core::Profiler::ThreadTargetScope target(replica.profiler);
-            if (options_.profilePhases) {
-                // reset() also makes this worker the profiler's
-                // owner, so every inline-executed op applies directly.
-                replica.profiler.reset();
-            } else {
-                replica.profiler.setEnabled(false);
-            }
-            if (seedMatters)
-                replica.workload->reseedEpisodes(seed);
-            util::WallTimer timer;
-            try {
-                // A firing delay site sleeps in evaluate() and
-                // returns false: the stall lands inside the measured
-                // service time — the slow-not-dead shard the tail
-                // layer (breaker + hedging) exists to route around.
-                NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
-                if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
-                    throw ReplicaPoisoned();
-                if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
-                    throw FaultInjected();
-                score = replica.workload->run();
-            } catch (...) {
-                // Drain the aborted attempt's op buffer while this
-                // scope still targets the replica profiler, so the
-                // next attempt's phase split starts clean.
-                core::Profiler::flushThisThread();
-                throw;
-            }
-            service = timer.elapsed();
-            core::Profiler::flushThisThread();
-            if (options_.profilePhases) {
-                neural = replica.profiler
-                             .phaseTotals(core::Phase::Neural)
-                             .seconds;
-                symbolic = replica.profiler
-                               .phaseTotals(core::Phase::Symbolic)
-                               .seconds;
-            }
-        };
+void
+Server::complete(const Request &request, Response outcome,
+                 TimePoint start)
+{
+    const std::string &workload = request.workload;
+    const bool ok = outcome.status == RequestStatus::Ok;
+    if (cache_ && ok && !outcome.stale) {
+        uint64_t evicted = cache_->insert(request.key, outcome.score);
+        metrics_.recordCacheEvictions(workload, evicted);
+    }
+    // Insert-then-finish: a request arriving in between hits the
+    // fresh cache entry directly, so nobody can join a dead flight.
+    std::vector<Flight> followers = flights_.finish(request.key);
+    metrics_.recordSingleFlight(workload, followers.size());
 
-        // Bounded retry with exponential backoff. A poisoned replica
-        // is rebuilt by the supervisor before the next attempt; a
-        // transient fault retries on the replica as-is.
-        int attempts = 0;
-        bool succeeded = false;
-        while (true) {
-            try {
-                executeOnce();
-                succeeded = true;
-                break;
-            } catch (const ReplicaPoisoned &) {
-                metrics_.recordWorkerFault(batch.workload);
-                rebuildReplica(batch.workload, replica);
-            } catch (...) {
-                metrics_.recordWorkerFault(batch.workload);
-            }
-            if (attempts >= options_.maxRetries)
-                break;
-            attempts++;
-            metrics_.recordRetry(batch.workload);
-            std::this_thread::sleep_for(
-                backoffFor(options_.retryBackoffUs, attempts));
-            pruneExpired(ServeClock::now());
-            if (live.empty())
-                break;
-        }
-        if (live.empty())
-            continue;
-
-        if (succeeded) {
-            metrics_.recordExecution(batch.workload, service);
-            TimePoint end = ServeClock::now();
-            for (const Request *request : live) {
-                Response response;
-                response.status = RequestStatus::Ok;
-                response.score = score;
-                response.latencySeconds =
-                    secondsBetween(request->enqueue, end);
-                response.queueSeconds =
-                    secondsBetween(request->enqueue, start);
-                response.serviceSeconds = service;
-                response.neuralSeconds = neural;
-                response.symbolicSeconds = symbolic;
-                response.batchSize = batchSize;
-                response.shared = static_cast<int>(live.size());
-                response.retries = attempts;
-                metrics_.recordOutcome(batch.workload, response);
-                deliver(batch.workload, request->done, response);
-            }
-            continue;
-        }
-
-        // Out of retries. Serve-stale fallback: answer from the last
-        // cached score for this key (byte-exact by the determinism
-        // contract, but marked stale — the mechanism is generic).
-        // Without a cached entry the requests fail terminally; either
-        // way every live member gets exactly one callback.
-        double staleScore = 0.0;
-        bool haveStale = false;
-        if (cache_ && options_.staleFallback) {
-            std::string key = cache::ResultCache::keyString(
-                batch.workload, options_.modelSeed,
-                seedMatters ? seed : 0);
-            haveStale = cache_->lookup(key, &staleScore);
-        }
-        TimePoint end = ServeClock::now();
-        for (const Request *request : live) {
-            Response response;
-            response.latencySeconds =
-                secondsBetween(request->enqueue, end);
-            response.queueSeconds =
-                secondsBetween(request->enqueue, start);
-            response.batchSize = batchSize;
-            response.retries = attempts;
-            if (haveStale) {
-                response.status = RequestStatus::Ok;
-                response.score = staleScore;
-                response.cached = true;
-                response.stale = true;
-                response.shared = static_cast<int>(live.size());
-            } else {
-                response.status = RequestStatus::Failed;
-            }
-            metrics_.recordOutcome(batch.workload, response);
-            deliver(batch.workload, request->done, response);
-        }
+    // A follower's status depends only on its own state: Canceled
+    // once its own token is set, Expired once its own deadline has
+    // passed, else the shared outcome. Everyone answered Ok shares
+    // the execution, and the metrics divide its phase split by that
+    // count, so per-workload sums stay one-profiler-pass exact.
+    TimePoint end = ServeClock::now();
+    std::vector<RequestStatus> statuses;
+    statuses.reserve(followers.size());
+    for (const Flight &follower : followers) {
+        if (follower.cancel &&
+            follower.cancel->load(std::memory_order_relaxed))
+            statuses.push_back(RequestStatus::Canceled);
+        else if (ok && follower.deadline <= end)
+            statuses.push_back(RequestStatus::Expired);
+        else
+            statuses.push_back(outcome.status);
+    }
+    if (ok)
+        outcome.shared =
+            (request.pruned ? 0 : 1) +
+            static_cast<int>(std::count(statuses.begin(), statuses.end(),
+                                        RequestStatus::Ok));
+    if (!request.pruned) {
+        Response response = outcome;
+        response.latencySeconds = secondsBetween(request.enqueue, end);
+        response.queueSeconds = secondsBetween(request.enqueue, start);
+        metrics_.recordOutcome(workload, response);
+        deliver(workload, request.done, response);
+    }
+    for (size_t i = 0; i < followers.size(); i++) {
+        Response response = outcome;
+        response.status = statuses[i];
+        response.latencySeconds =
+            secondsBetween(followers[i].enqueue, end);
+        response.queueSeconds =
+            response.status == outcome.status
+                ? std::max(0.0, response.latencySeconds -
+                                    response.serviceSeconds)
+                : response.latencySeconds;
+        metrics_.recordAdmitted(workload);
+        metrics_.recordOutcome(workload, response);
+        deliver(workload, followers[i].done, response);
     }
 }
 
@@ -743,7 +635,7 @@ Server::rebuildReplica(const std::string &name, Replica &replica)
         } catch (...) {
             // Build-then-swap: a failed rebuild (setUp can itself hit
             // an injected fault) keeps the old replica in place; the
-            // retry loop decides what happens to the batch.
+            // retry loop decides what happens to the request.
         }
         core::Profiler::flushThisThread();
     }

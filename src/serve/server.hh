@@ -1,23 +1,25 @@
 /**
  * @file
- * The batched neuro-symbolic inference server.
+ * The neuro-symbolic inference server.
  *
- * A Server owns the admission queue, the batching thread and a pool
- * of worker threads. Each worker pre-warms one replica of every
- * served workload — setUp runs once per replica and is reused across
- * requests — then executes batches popped from the batch queue.
+ * A Server owns the admission queue and a pool of worker threads.
+ * Each worker pre-warms one replica of every served workload — setUp
+ * runs once per replica and is reused across requests — then pops
+ * admitted requests straight off the admission queue.
  *
  * Determinism contract: a workload's score is a pure function of
  * (model seed, episode seed). The server relies on this in both
  * directions. Replicas built from the same model seed are
  * interchangeable, so a request's score does not depend on which
- * worker runs it, how requests were batched, or their arrival order.
- * And equal requests are *coalescible*: when coalescing is enabled
- * the worker runs each distinct episode seed in a batch once and fans
- * the score out to every request that asked for it (for workloads
- * that declare seedSensitive() == false, the whole batch shares one
- * run). That sharing is where batching's throughput gain comes from
- * on CPU-bound workloads.
+ * worker runs it or on arrival order. And equal requests are
+ * *mergeable*: submit() keys every request by (workload, model seed,
+ * effective episode seed) — seed 0 for workloads that declare
+ * seedSensitive() == false — and single-flight parks a request whose
+ * key is already in flight behind that key's leader, fanning the
+ * leader's score out when it lands. That is the server's one merge
+ * of concurrent duplicates, and where its throughput gain comes from
+ * on CPU-bound workloads: every request a worker pops is a distinct
+ * in-flight key.
  *
  * Each worker pins itself into ThreadPool::SerialScope and installs a
  * thread-local profiler target, so requests execute single-threaded
@@ -43,7 +45,6 @@
 #include "cache/single_flight.hh"
 #include "core/profiler.hh"
 #include "core/workload.hh"
-#include "serve/batcher.hh"
 #include "serve/metrics.hh"
 #include "serve/queue.hh"
 #include "serve/request.hh"
@@ -57,21 +58,21 @@ struct ServerOptions
     /** Workloads this server hosts (replica of each per worker). */
     std::vector<std::string> workloads;
     int workers = 2;              ///< Worker threads (replica sets).
-    int maxBatch = 8;             ///< Batcher coalescing limit.
-    int64_t maxWaitUs = 2000;     ///< Batcher wait for a non-full batch.
+    /** Most requests one stage-pipelined group takes (see
+     *  pipelineDepth); 1 never groups. */
+    int maxBatch = 8;
     size_t queueCapacity = 256;   ///< Admission queue bound.
-    size_t batchQueueCapacity = 0;///< Batch queue bound; 0 -> 2*workers.
     uint64_t modelSeed = 42;      ///< setUp seed for every replica.
-    bool coalesce = true;         ///< Share executions across equal requests.
     bool profilePhases = true;    ///< Collect the neural/symbolic split.
     /**
-     * Enables the request-result cache: repeats of a completed
-     * (workload, episode seed) are answered at admission without a
-     * run(), and concurrent misses on one key execute once
-     * (single-flight). Valid because scores are pure in (model seed,
-     * episode seed) — the determinism contract above. Default off so
-     * every existing test and bench sees the historical execution
-     * counts; the CLI/bench layer opts in via NSBENCH_CACHE/--cache.
+     * Remembers completed scores: repeats of a completed (workload,
+     * episode seed) are answered at admission without a run(), and
+     * the stale fallback below has a score to serve. Valid because
+     * scores are pure in (model seed, episode seed) — the determinism
+     * contract above. Concurrent duplicates are merged by
+     * single-flight whether or not this is on. Off by default so a
+     * server's execution count follows its traffic; the CLI/bench
+     * layer opts in via NSBENCH_CACHE/--cache.
      */
     bool resultCache = false;
     uint64_t cacheBytes = 64ull << 20; ///< Result-cache byte budget.
@@ -121,17 +122,20 @@ struct ServerOptions
      */
     bool staleFallback = true;
     /**
-     * Intra-replica stage pipelining (opt-in, 0 = off). When a batch
-     * coalesces into two or more executions of a staged workload
-     * (stageCount() > 1), the worker runs them through
-     * exec::runPipelined with this inter-stage queue depth instead of
-     * back-to-back run() calls, overlapping execution i's symbolic
-     * stage with execution i+1's neural stage. Scores stay
+     * Intra-replica stage pipelining (opt-in, 0 = off). When a worker
+     * pops a request for a staged workload (stageCount() > 1), it
+     * also takes the requests for that workload waiting at the head
+     * of the admission queue, up to maxBatch, and runs the group
+     * through exec::runPipelined with this inter-stage queue depth
+     * instead of back-to-back run() calls, overlapping execution i's
+     * symbolic stage with execution i+1's neural stage. Other
+     * workloads stay queued for the other workers. Scores stay
      * byte-identical to the serial path (the staged-interface
      * determinism contract). While fault injection is armed the
-     * worker falls back to the serial retry path, so the resilience
-     * semantics — bounded retries, replica replacement, stale
-     * fallback — are unchanged under chaos testing.
+     * worker takes one request at a time on the serial retry path,
+     * so the resilience semantics — bounded retries, replica
+     * replacement, stale fallback — are unchanged under chaos
+     * testing.
      */
     int pipelineDepth = 0;
     /**
@@ -144,13 +148,13 @@ struct ServerOptions
 };
 
 /**
- * Batched serving runtime over pre-warmed workload replicas.
+ * Serving runtime over pre-warmed workload replicas.
  */
 class Server
 {
   public:
     /**
-     * Builds the replicas and starts the batcher and worker threads.
+     * Builds the replicas and starts the worker threads.
      * Blocks until every worker has finished pre-warming, so the
      * first request never pays setUp cost.
      */
@@ -169,10 +173,12 @@ class Server
      *
      * A non-null @p cancel token makes the request abandonable: if
      * the submitter sets the token while the request is still queued,
-     * the worker answers Canceled without running it. Best-effort —
-     * cache hits, single-flight followers and already-executing
-     * requests complete normally; the exactly-once callback contract
-     * holds either way.
+     * the worker answers Canceled without running it; a canceled
+     * single-flight follower answers Canceled when its leader lands.
+     * Best-effort — cache hits and already-executing requests
+     * complete normally; the exactly-once callback contract holds
+     * either way. A canceled leader answers Canceled alone: its
+     * followers still get the shared run.
      */
     RequestStatus submit(const std::string &workload, uint64_t seed,
                          Callback done,
@@ -222,13 +228,13 @@ class Server
     /** A parked single-flight follower awaiting its leader's result. */
     struct Flight
     {
-        uint64_t id = 0;
         TimePoint enqueue{};
         TimePoint deadline = TimePoint::max();
         Callback done;
+        CancelToken cancel;
     };
 
-    /** Worker thread body: pre-warm, signal ready, serve batches. */
+    /** Worker thread body: pre-warm, signal ready, serve requests. */
     void workerMain(int workerIndex);
 
     /** Folds one observed queue sojourn into the EWMA (dispatch). */
@@ -237,14 +243,48 @@ class Server
     /** True when the adaptive sojourn gate says to shed right now. */
     bool sojournOverloaded(TimePoint now);
 
-    /** Executes one batch on this worker's replicas. */
-    void runBatchOn(std::map<std::string, Replica> &replicas,
-                    const Batch &batch);
+    /**
+     * Serves one popped request — plus, when it can be pipelined, the
+     * same-workload requests queued right behind it.
+     */
+    void dispatch(std::map<std::string, Replica> &replicas,
+                  Request first);
+
+    /**
+     * Answers a canceled or queue-expired leader without running it.
+     * Returns whether its key still needs a run: the leader is live,
+     * or followers are parked behind it — their statuses depend only
+     * on their own deadlines, never on the leader's.
+     */
+    bool prune(Request &request, TimePoint now);
+
+    /** Runs a group of distinct keys through the stage pipeline;
+     *  false (nothing answered) when the pipeline failed. */
+    bool runPipelinedGroup(Replica &replica, std::vector<Request> &group,
+                           int batchSize);
+
+    /**
+     * Runs one request with bounded retry, backoff and replica
+     * rebuild, then answers it (stale or Failed when every attempt
+     * failed).
+     */
+    void runSerial(Replica &replica, Request &request, int batchSize);
+
+    /** One run() attempt; fills @p outcome's score and timings. */
+    void attempt(Replica &replica, uint64_t seed, Response &outcome);
+
+    /**
+     * Caches an Ok score, ends the request's flight and answers the
+     * leader (unless pruned) and every parked follower from
+     * @p outcome. Execution started at @p start.
+     */
+    void complete(const Request &request, Response outcome,
+                  TimePoint start);
 
     /**
      * Invokes a completion callback, containing anything it throws:
      * one misbehaving client must never kill a worker thread or
-     * strand the rest of its batch.
+     * strand the requests it still owes answers.
      */
     void deliver(const std::string &workload, const Callback &done,
                  const Response &response);
@@ -259,14 +299,6 @@ class Server
     void rebuildReplica(const std::string &name, Replica &replica);
 
     /**
-     * Leader-completion hook: caches an Ok score, then fans the
-     * leader's outcome to every parked follower of @p key.
-     */
-    void finishFlight(const std::string &workload,
-                      const std::string &key, const Callback &inner,
-                      const Response &response);
-
-    /**
      * Leader-admission-failure hook: delivers @p status to every
      * parked follower (they were told Ok at submit, so the rejection
      * must reach them through their callbacks).
@@ -277,13 +309,10 @@ class Server
     ServerOptions options_;
     ServerMetrics metrics_;
     BoundedQueue<Request> admission_;
-    BoundedQueue<Batch> batches_;
-    std::unique_ptr<Batcher> batcher_;
     std::unique_ptr<cache::ResultCache> cache_;
     cache::SingleFlight<Flight> flights_;
     /** Per-workload seedSensitive(), probed once at construction. */
     std::map<std::string, bool> seedSensitive_;
-    std::thread batcherThread_;
     std::vector<std::thread> workers_;
     std::atomic<uint64_t> nextId_{1};
     /** EWMA of observed queue sojourn in microseconds (alpha 1/8),

@@ -130,13 +130,13 @@ const std::vector<std::string> &
 knownSites()
 {
     static const std::vector<std::string> names = {
-        sites::kQueueTryPush,    sites::kQueuePop,
-        sites::kAdmissionShed,   sites::kBatcherCoalesce,
-        sites::kWorkerRun,       sites::kWorkerCrash,
-        sites::kCallback,        sites::kResultInsert,
-        sites::kPrecomputeBuild, sites::kNetAccept,
-        sites::kNetRead,         sites::kNetWrite,
-        sites::kNetBackendConnect, sites::kWorkerDelay,
+        sites::kQueueTryPush,      sites::kQueuePop,
+        sites::kAdmissionShed,     sites::kWorkerRun,
+        sites::kWorkerCrash,       sites::kCallback,
+        sites::kResultInsert,      sites::kPrecomputeBuild,
+        sites::kNetAccept,         sites::kNetRead,
+        sites::kNetWrite,          sites::kNetBackendConnect,
+        sites::kWorkerDelay,
     };
     return names;
 }

@@ -58,8 +58,6 @@ inline constexpr const char *kQueueTryPush = "serve.queue.trypush";
 inline constexpr const char *kQueuePop = "serve.queue.pop";
 /** Server::submit sheds the request as overload (RejectedOverload). */
 inline constexpr const char *kAdmissionShed = "serve.admission.shed";
-/** Batcher dispatches the pending batch early (degraded coalescing). */
-inline constexpr const char *kBatcherCoalesce = "serve.batcher.coalesce";
 /** Worker run() attempt fails transiently (retry path). */
 inline constexpr const char *kWorkerRun = "serve.worker.run";
 /** Worker replica is poisoned (supervisor replacement path). */

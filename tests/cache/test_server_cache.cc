@@ -29,21 +29,18 @@ using tests::FakeCounters;
 using tests::FakeWorkload;
 
 serve::ServerOptions
-cachedFake(FakeCounters &counters, bool seed_sensitive,
-           int sleep_ms = 0)
+cachedFake(FakeCounters &counters, bool seed_sensitive)
 {
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
     options.maxBatch = 4;
-    options.maxWaitUs = 2000;
     options.profilePhases = false;
     options.resultCache = true;
-    options.factory = [&counters, seed_sensitive,
-                       sleep_ms](const std::string &) {
+    options.factory = [&counters,
+                       seed_sensitive](const std::string &) {
         return std::make_unique<FakeWorkload>(counters,
-                                              seed_sensitive,
-                                              sleep_ms);
+                                              seed_sensitive);
     };
     return options;
 }
@@ -99,12 +96,10 @@ TEST(CacheServer, SeedInsensitiveWorkloadsShareOneCanonicalEntry)
 TEST(CacheServer, ConcurrentMissesSingleFlightOntoOneExecution)
 {
     FakeCounters counters;
-    // Slow service, no batcher coalescing, serial batches: any
-    // sharing observed comes from single-flight alone.
-    auto options = cachedFake(counters, true, /*sleep_ms=*/25);
-    options.coalesce = false;
-    options.maxBatch = 1;
-    serve::Server server(std::move(options));
+    // The gate holds the leader's run until every duplicate has
+    // joined its flight.
+    serve::Server server(cachedFake(counters, true));
+    counters.gate.close();
 
     constexpr int n = 4;
     std::atomic<int> outstanding{n};
@@ -129,6 +124,7 @@ TEST(CacheServer, ConcurrentMissesSingleFlightOntoOneExecution)
                       }),
                   serve::RequestStatus::Ok);
     }
+    counters.gate.open();
     {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return outstanding.load() == 0; });

@@ -1,7 +1,7 @@
 /**
  * @file
  * Single-flight coalescing tests: leader election, follower parking,
- * fan-out on finish, and flight lifecycle.
+ * fan-out on finish, idle-only finish, and flight lifecycle.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +46,22 @@ TEST(CacheSingleFlight, FinishOnUnknownKeyIsEmpty)
 {
     Flight flights;
     EXPECT_TRUE(flights.finish("nope").empty());
+}
+
+TEST(CacheSingleFlight, FinishIfIdleEndsOnlyFollowerlessFlights)
+{
+    Flight flights;
+    ASSERT_EQ(flights.join("lone", 1), Flight::Role::Leader);
+    ASSERT_EQ(flights.join("shared", 2), Flight::Role::Leader);
+    flights.join("shared", 3);
+
+    // A flight with a parked follower stays open, untouched.
+    EXPECT_FALSE(flights.finishIfIdle("shared"));
+    EXPECT_TRUE(flights.finishIfIdle("lone"));
+    EXPECT_EQ(flights.inFlight(), 1u);
+    EXPECT_EQ(flights.finish("shared"), std::vector<int>{3});
+    // The ended key starts a fresh flight.
+    EXPECT_EQ(flights.join("lone", 4), Flight::Role::Leader);
 }
 
 TEST(CacheSingleFlight, KeysFlyIndependently)

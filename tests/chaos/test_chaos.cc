@@ -83,7 +83,6 @@ class Chaos : public ::testing::Test
         options.workloads = {"Fake"};
         options.workers = 2;
         options.maxBatch = 4;
-        options.maxWaitUs = 500;
         options.factory = [&counters, seed_sensitive](
                               const std::string &) {
             return std::make_unique<tests::FakeWorkload>(
@@ -185,6 +184,13 @@ TEST_F(Chaos, DisarmedSitesNeverFireAndCostNothing)
  * Submits @p total requests against a fake fleet under the given
  * fault spec and asserts the exactly-once and byte-identity
  * invariants. Returns the server's total metrics snapshot.
+ *
+ * Requests go out in waves of 16 over an 8-seed universe, each wave
+ * answered before the next is sent. Single-flight merges duplicates
+ * that are in flight together, so each wave starts fresh flights:
+ * the number of leaders — and with it how often the admission and
+ * worker sites are evaluated — has a floor of one per key per wave
+ * rather than depending on how fast the workers drain the queue.
  */
 serve::WorkloadMetrics
 runExactlyOnce(const std::string &spec, bool seed_sensitive,
@@ -204,6 +210,10 @@ runExactlyOnce(const std::string &spec, bool seed_sensitive,
     {
         serve::Server server(std::move(options));
         for (int i = 0; i < total; i++) {
+            if (i % 16 == 0) {
+                std::unique_lock<std::mutex> lock(mu);
+                cv.wait(lock, [&] { return outstanding == 0; });
+            }
             uint64_t seed = static_cast<uint64_t>(i % 8);
             {
                 std::lock_guard<std::mutex> lock(mu);
@@ -270,8 +280,7 @@ TEST_F(Chaos, ExactlyOnceUnderMixedFaultSchedule)
     options.maxRetries = 4;
     auto metrics = runExactlyOnce(
         "serve.queue.trypush=0.05@7,serve.queue.pop=0.1@8,"
-        "serve.batcher.coalesce=0.2@9,serve.worker.run=0.2@10,"
-        "serve.callback=0.1@11",
+        "serve.worker.run=0.2@10,serve.callback=0.1@11",
         /*seed_sensitive=*/true, /*total=*/160, std::move(options));
     EXPECT_GT(metrics.workerFaults, 0u);
     EXPECT_GT(metrics.callbackFailures, 0u);
@@ -388,7 +397,6 @@ TEST_F(Chaos, FaultedServerScoresMatchFaultFreeScores)
         options.workloads = {"LNN"};
         options.workers = 2;
         options.maxBatch = 4;
-        options.maxWaitUs = 500;
         options.maxRetries = 8;
         options.factory = serve::serveFactory;
         serve::Server server(std::move(options));
@@ -403,8 +411,7 @@ TEST_F(Chaos, FaultedServerScoresMatchFaultFreeScores)
 
     std::map<uint64_t, double> clean = scoresUnder("");
     std::map<uint64_t, double> faulted = scoresUnder(
-        "serve.worker.run=0.3@23,serve.worker.crash=0.05@29,"
-        "serve.batcher.coalesce=0.3@31");
+        "serve.worker.run=0.3@23,serve.worker.crash=0.05@29");
     // Byte-identical: retried and replica-rebuilt executions return
     // exactly the score a fault-free server returns.
     EXPECT_EQ(clean, faulted);
@@ -416,23 +423,38 @@ TEST_F(Chaos, PipelinedServerKeepsInvariantsUnderFaults)
     // with faults armed the worker falls back to the serial retry
     // path, and either way every request is answered exactly once
     // with the fault-free score. NVSA is staged and seed-sensitive,
-    // so a coalesced batch forms the multi-group executions the
-    // pipeline path takes when it engages.
+    // so its distinct seeds queued together form the group the
+    // pipeline path takes when it engages; a gated fake request
+    // holds the only worker while they queue, so the group forms by
+    // construction.
     auto scoresUnder = [&](const std::string &spec, int depth) {
         fp::reset();
         if (!spec.empty()) {
             std::string error = fp::configure(spec);
             EXPECT_EQ(error, "");
         }
+        tests::FakeCounters counters;
         serve::ServerOptions options;
-        options.workloads = {"NVSA"};
+        options.workloads = {"Gate", "NVSA"};
         options.workers = 1;
         options.maxBatch = 8;
-        options.maxWaitUs = 20000;
         options.maxRetries = 8;
         options.pipelineDepth = depth;
-        options.factory = serve::serveFactory;
+        options.factory = [&counters](const std::string &name)
+            -> std::unique_ptr<core::Workload> {
+            if (name == "Gate")
+                return std::make_unique<tests::FakeWorkload>(counters,
+                                                             true);
+            return serve::serveFactory(name);
+        };
         serve::Server server(std::move(options));
+        counters.gate.close();
+        std::promise<serve::Response> held;
+        EXPECT_EQ(server.submit("Gate", 0,
+                                [&held](const serve::Response &r) {
+                                    held.set_value(r);
+                                }),
+                  serve::RequestStatus::Ok);
         const int total = 12;
         std::vector<std::promise<serve::Response>> promises(total);
         std::vector<std::future<serve::Response>> futures;
@@ -448,15 +470,19 @@ TEST_F(Chaos, PipelinedServerKeepsInvariantsUnderFaults)
                               }),
                 serve::RequestStatus::Ok);
         }
+        counters.gate.open();
+        // The held request's own outcome is beside the point (faults
+        // may fail it); it only has to be answered.
+        held.get_future().wait();
         std::map<uint64_t, double> scores;
         for (int i = 0; i < total; i++) {
             serve::Response response =
                 futures[static_cast<size_t>(i)].get();
             EXPECT_EQ(response.status, serve::RequestStatus::Ok);
-            if (!spec.empty()) {
-                // Armed faults disable the pipeline pre-pass.
-                EXPECT_FALSE(response.pipelined) << "request " << i;
-            }
+            // Armed faults keep the worker on the serial path; clean,
+            // the six distinct seeds run as one pipelined group.
+            EXPECT_EQ(response.pipelined, depth > 0 && spec.empty())
+                << "request " << i;
             uint64_t seed = static_cast<uint64_t>(i % 6);
             auto [found, inserted] =
                 scores.emplace(seed, response.score);

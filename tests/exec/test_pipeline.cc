@@ -24,6 +24,8 @@
 #include "serve/server.hh"
 #include "workloads/register.hh"
 
+#include "../serve/fake_workload.hh"
+
 namespace
 {
 
@@ -248,19 +250,34 @@ TEST(Pipeline, PredictedSpeedupModelsDedicatedUnits)
 TEST(Pipeline, ServerPipelineModeIsByteIdentical)
 {
     workloads::registerAllWorkloads();
-    // NVSA at the serve preset is seed-sensitive and staged, so a
-    // multi-seed batch coalesces into multiple groups the worker can
-    // pipeline. Run the same request set through a pipelined and a
-    // serial server; scores must agree request-for-request.
+    // NVSA at the serve preset is seed-sensitive and staged, so
+    // distinct seeds queued together form a group the worker can
+    // pipeline. A gated fake request holds the only worker while the
+    // NVSA requests queue, so the group forms by construction. Run
+    // the same request set through a pipelined and a serial server;
+    // scores must agree request-for-request.
     auto runServer = [](int pipelineDepth) {
+        tests::FakeCounters counters;
         serve::ServerOptions options;
-        options.workloads = {"NVSA"};
+        options.workloads = {"Gate", "NVSA"};
         options.workers = 1;
         options.maxBatch = 8;
-        options.maxWaitUs = 20000;
         options.pipelineDepth = pipelineDepth;
-        options.factory = serve::serveFactory;
+        options.factory = [&counters](const std::string &name)
+            -> std::unique_ptr<core::Workload> {
+            if (name == "Gate")
+                return std::make_unique<tests::FakeWorkload>(counters,
+                                                             true);
+            return serve::serveFactory(name);
+        };
         serve::Server server(std::move(options));
+        counters.gate.close();
+        std::promise<serve::Response> held;
+        EXPECT_EQ(server.submit("Gate", 0,
+                                [&held](const serve::Response &r) {
+                                    held.set_value(r);
+                                }),
+                  serve::RequestStatus::Ok);
         std::map<uint64_t, double> scores;
         std::map<uint64_t, bool> pipelined;
         std::vector<std::future<serve::Response>> futures;
@@ -277,6 +294,9 @@ TEST(Pipeline, ServerPipelineModeIsByteIdentical)
                                     }),
                       serve::RequestStatus::Ok);
         }
+        counters.gate.open();
+        EXPECT_EQ(held.get_future().get().status,
+                  serve::RequestStatus::Ok);
         for (size_t i = 0; i < seeds.size(); i++) {
             serve::Response response = futures[i].get();
             EXPECT_EQ(response.status, serve::RequestStatus::Ok);
@@ -298,6 +318,9 @@ TEST(Pipeline, ServerPipelineModeIsByteIdentical)
         ASSERT_TRUE(piped.count(seed));
         EXPECT_EQ(piped[seed], score) << "seed " << seed;
     }
+    // The four distinct seeds ran as one pipelined group.
+    for (const auto &[seed, flag] : pipedFlags)
+        EXPECT_TRUE(flag) << "seed " << seed;
     for (const auto &[seed, flag] : serialFlags)
         EXPECT_FALSE(flag) << "seed " << seed;
 }

@@ -65,7 +65,6 @@ lnnOptions()
     options.workloads = {"LNN"};
     options.workers = 2;
     options.maxBatch = 4;
-    options.maxWaitUs = 1000;
     options.factory = serve::serveFactory;
     return options;
 }

@@ -55,7 +55,6 @@ makeBackend(const std::vector<std::string> &workloads,
     options.workloads = workloads;
     options.workers = 2;
     options.maxBatch = 4;
-    options.maxWaitUs = 1000;
     options.resultCache = result_cache;
     options.factory = serve::serveFactory;
     auto backend = std::make_unique<Backend>();

@@ -3,10 +3,13 @@
  * Deterministic fake workload for serve unit tests.
  *
  * Scores are a pure arithmetic function of (model seed, episode
- * seed), run() invocations are counted through a shared atomic, and
- * an optional per-run sleep simulates service time, so tests can
- * assert on coalescing (how many run() calls served N requests),
- * backpressure and drain behaviour without paying for real models.
+ * seed), run() invocations are counted through a shared atomic, an
+ * optional per-run sleep simulates service time, and a shared gate
+ * can hold every run() until the test opens it, so tests can assert
+ * on sharing (how many run() calls served N requests), backpressure
+ * and drain behaviour without paying for real models — and can queue
+ * requests behind a held worker by construction rather than by
+ * timing.
  */
 
 #ifndef NSBENCH_TESTS_SERVE_FAKE_WORKLOAD_HH
@@ -14,6 +17,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/workload.hh"
@@ -21,12 +26,52 @@
 namespace nsbench::tests
 {
 
-/** Shared counters every replica of a fake fleet reports into. */
+/**
+ * A latch every fake run() passes through. Open by default; while
+ * closed it holds each worker that reaches it, so a test can submit
+ * requests that are certain to queue behind the held one.
+ */
+class FakeGate
+{
+  public:
+    void
+    close()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        open_ = false;
+    }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+
+    /** Blocks until the gate is open. */
+    void
+    pass()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this] { return open_; });
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool open_ = true;
+};
+
+/** Shared state every replica of a fake fleet reports into. */
 struct FakeCounters
 {
     std::atomic<uint64_t> setUps{0};
     std::atomic<uint64_t> runs{0};
     std::atomic<uint64_t> reseeds{0};
+    FakeGate gate;
 };
 
 class FakeWorkload : public core::Workload
@@ -67,6 +112,7 @@ class FakeWorkload : public core::Workload
     run() override
     {
         counters_.runs.fetch_add(1);
+        counters_.gate.pass();
         if (sleepMs_ > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(sleepMs_));

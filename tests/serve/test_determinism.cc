@@ -4,7 +4,7 @@
  *
  * The serving determinism contract: a request with a fixed seed
  * returns the same score no matter how it was served — one replica
- * or many, batch size 1 or 8, coalescing on or off, whatever the
+ * or many, batch size 1 or 8, result cache on or off, whatever the
  * arrival order. These tests drive real (serve-preset) workloads
  * through servers at those extremes and require byte-identical
  * scores, including against a direct un-served execution.
@@ -39,14 +39,16 @@ class ServeDeterminism : public ::testing::Test
 
     static serve::ServerOptions
     serverOptions(const std::string &workload, int workers,
-                  int max_batch, bool coalesce)
+                  int max_batch, bool cache)
     {
         serve::ServerOptions options;
         options.workloads = {workload};
         options.workers = workers;
+        // max_batch only groups requests for the stage pipeline, so
+        // turn it on wherever a group can form.
         options.maxBatch = max_batch;
-        options.coalesce = coalesce;
-        options.maxWaitUs = 1000;
+        options.pipelineDepth = max_batch > 1 ? 2 : 0;
+        options.resultCache = cache;
         options.factory = serve::serveFactory;
         return options;
     }
@@ -88,8 +90,8 @@ class ServeDeterminism : public ::testing::Test
 TEST_F(ServeDeterminism, ReplicaCountDoesNotChangeScores)
 {
     const std::vector<uint64_t> seeds = {1, 2, 3, 4, 1, 2, 3, 4};
-    auto one = scoresVia(serverOptions("ZeroC", 1, 1, true), seeds);
-    auto many = scoresVia(serverOptions("ZeroC", 3, 1, true), seeds);
+    auto one = scoresVia(serverOptions("ZeroC", 1, 1, false), seeds);
+    auto many = scoresVia(serverOptions("ZeroC", 3, 1, false), seeds);
     EXPECT_EQ(one, many);
 }
 
@@ -98,16 +100,22 @@ TEST_F(ServeDeterminism, BatchSizeAndCoalescingDoNotChangeScores)
     const std::vector<uint64_t> seeds = {5, 6, 5, 6, 5, 6, 5, 6};
     auto unbatched =
         scoresVia(serverOptions("ZeroC", 1, 1, false), seeds);
+    auto unbatchedCached =
+        scoresVia(serverOptions("ZeroC", 1, 1, true), seeds);
     auto batched =
+        scoresVia(serverOptions("ZeroC", 2, 8, false), seeds);
+    auto batchedCached =
         scoresVia(serverOptions("ZeroC", 2, 8, true), seeds);
+    EXPECT_EQ(unbatched, unbatchedCached);
     EXPECT_EQ(unbatched, batched);
+    EXPECT_EQ(unbatched, batchedCached);
 }
 
 TEST_F(ServeDeterminism, ArrivalOrderDoesNotChangeScores)
 {
     std::vector<uint64_t> forward = {1, 2, 3, 4, 5, 6};
     std::vector<uint64_t> reverse(forward.rbegin(), forward.rend());
-    auto options = serverOptions("ZeroC", 2, 4, true);
+    auto options = serverOptions("ZeroC", 2, 4, false);
     auto a = scoresVia(options, forward);
     auto b = scoresVia(options, reverse);
     EXPECT_EQ(a, b);
@@ -116,7 +124,7 @@ TEST_F(ServeDeterminism, ArrivalOrderDoesNotChangeScores)
 TEST_F(ServeDeterminism, ServedScoresMatchDirectExecution)
 {
     auto served =
-        scoresVia(serverOptions("ZeroC", 2, 4, true), {7, 8, 9});
+        scoresVia(serverOptions("ZeroC", 2, 4, false), {7, 8, 9});
 
     // The same replica build, run without the server: one setUp at
     // the server's model seed, then reseed-and-run per request seed.
@@ -134,7 +142,7 @@ TEST_F(ServeDeterminism, ServedScoresMatchDirectExecution)
 TEST_F(ServeDeterminism, SeedInsensitiveWorkloadScoresAreSeedFree)
 {
     auto scores =
-        scoresVia(serverOptions("LNN", 2, 8, true), {1, 2, 3, 4});
+        scoresVia(serverOptions("LNN", 2, 8, false), {1, 2, 3, 4});
     for (const auto &[seed, score] : scores)
         EXPECT_EQ(score, scores.begin()->second);
 
@@ -147,7 +155,7 @@ TEST_F(ServeDeterminism, SeedInsensitiveWorkloadScoresAreSeedFree)
 
 TEST_F(ServeDeterminism, PhaseSplitIsReportedPerRequest)
 {
-    serve::Server server(serverOptions("LNN", 1, 1, true));
+    serve::Server server(serverOptions("LNN", 1, 1, false));
     serve::Response response = server.call("LNN", 1);
     ASSERT_EQ(response.status, serve::RequestStatus::Ok);
     EXPECT_GT(response.neuralSeconds + response.symbolicSeconds, 0.0);

@@ -81,9 +81,7 @@ TEST(ServeLoadgen, ClosedLoopDrainsEveryAdmittedRequest)
 TEST(ServeLoadgen, SeedUniverseBoundsTheSeedsRequested)
 {
     FakeCounters counters;
-    auto server_options = fakeServer(counters);
-    server_options.coalesce = false;
-    serve::Server server(std::move(server_options));
+    serve::Server server(fakeServer(counters));
 
     serve::LoadgenOptions options;
     options.openLoop = true;
@@ -95,9 +93,8 @@ TEST(ServeLoadgen, SeedUniverseBoundsTheSeedsRequested)
         serve::runLoadgen(server, options);
     EXPECT_GT(report.completed, 0u);
     // Four distinct seeds at most -> at most four distinct scores
-    // (the fake's score is injective in the seed modulo 100000).
-    // Verified through the share factor instead would need
-    // coalescing; here we just require the run to complete cleanly.
+    // (the fake's score is injective in the seed modulo 100000);
+    // here we just require the run to complete cleanly.
     expectClosedAccounting(report);
 }
 

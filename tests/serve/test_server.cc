@@ -1,7 +1,8 @@
 /**
  * @file
  * Server behaviour tests over the fake workload: admission control,
- * deadlines, coalescing, graceful drain, and callback delivery.
+ * deadlines, single-flight sharing, graceful drain, and callback
+ * delivery.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "fake_workload.hh"
@@ -32,7 +35,6 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
     options.workloads = {"Fake"};
     options.workers = 1;
     options.maxBatch = 4;
-    options.maxWaitUs = 2000;
     options.profilePhases = false;
     options.factory = [&counters, seed_sensitive,
                        sleep_ms](const std::string &) {
@@ -42,6 +44,33 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
     };
     return options;
 }
+
+/** Collects tagged responses; wait() blocks until @p n arrived. */
+struct Answers
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<int, serve::Response> byTag;
+    int delivered = 0;
+
+    serve::Callback
+    tag(int t)
+    {
+        return [this, t](const serve::Response &response) {
+            std::lock_guard<std::mutex> lock(mu);
+            byTag.emplace(t, response);
+            delivered++;
+            cv.notify_all();
+        };
+    }
+
+    void
+    wait(int n)
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return delivered >= n; });
+    }
+};
 
 TEST(ServeServer, PrewarmsOneReplicaPerWorkerBeforeServing)
 {
@@ -163,103 +192,178 @@ TEST(ServeServer, BackpressureRejectsWhenQueueFills)
 
 TEST(ServeServer, CoalescesSameSeedRequests)
 {
+    // Cache off: single-flight alone merges the duplicates. The gated
+    // first request holds the only worker while eight requests for
+    // two seeds queue behind it, so all of them are in flight at
+    // once by construction.
     FakeCounters counters;
-    auto options = fakeOptions(counters, true, 5);
-    options.maxBatch = 8;
-    options.maxWaitUs = 50000;
-    serve::Server server(std::move(options));
-
-    // Warm-up request so the batcher timer dynamics are the only
-    // variable, then 8 requests for two distinct seeds.
-    server.call("Fake", 99);
-    uint64_t runsBefore = counters.runs.load();
-
-    std::atomic<int> outstanding{8};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<double> scoresBySeed[2];
-    std::mutex scoresMu;
-    for (int i = 0; i < 8; i++) {
-        uint64_t seed = static_cast<uint64_t>(i % 2);
-        ASSERT_EQ(server.submit(
-                      "Fake", seed,
-                      [&, seed](const serve::Response &response) {
-                          {
-                              std::lock_guard<std::mutex> lock(
-                                  scoresMu);
-                              scoresBySeed[seed].push_back(
-                                  response.score);
-                          }
-                          std::lock_guard<std::mutex> lock(mu);
-                          if (outstanding.fetch_sub(1) == 1)
-                              cv.notify_all();
-                      }),
+    serve::Server server(fakeOptions(counters, true));
+    Answers answers;
+    counters.gate.close();
+    ASSERT_EQ(server.submit("Fake", 99, answers.tag(-1)),
+              serve::RequestStatus::Ok);
+    for (int i = 0; i < 8; i++)
+        ASSERT_EQ(server.submit("Fake", static_cast<uint64_t>(i % 2),
+                                answers.tag(i)),
                   serve::RequestStatus::Ok);
-    }
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return outstanding.load() == 0; });
-    }
+    counters.gate.open();
+    answers.wait(9);
 
-    // Two distinct seeds -> at most a handful of runs, far fewer
-    // than 8; every member of a seed group got the same score.
-    uint64_t runs = counters.runs.load() - runsBefore;
-    EXPECT_LT(runs, 8u);
-    for (const auto &scores : scoresBySeed) {
-        ASSERT_FALSE(scores.empty());
-        for (double score : scores)
-            EXPECT_EQ(score, scores.front());
+    // The held request plus one run per distinct seed.
+    EXPECT_EQ(counters.runs.load(), 3u);
+    for (int i = 0; i < 8; i++) {
+        const serve::Response &response = answers.byTag.at(i);
+        EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+        EXPECT_EQ(response.score, answers.byTag.at(i % 2).score);
+        EXPECT_EQ(response.shared, 4);
     }
+    EXPECT_NE(answers.byTag.at(0).score, answers.byTag.at(1).score);
+    serve::WorkloadMetrics m = server.metrics().workload("Fake");
+    EXPECT_EQ(m.singleFlightShared, 6u);
+    EXPECT_EQ(m.executions, 3u);
+    EXPECT_EQ(m.completed, 9u);
 }
 
-TEST(ServeServer, SeedInsensitiveWorkloadsCoalesceWholeBatches)
+TEST(ServeServer, SeedInsensitiveRequestsShareOneRun)
 {
     FakeCounters counters;
-    auto options = fakeOptions(counters, /*seed_sensitive=*/false, 5);
-    options.maxBatch = 8;
-    options.maxWaitUs = 50000;
-    serve::Server server(std::move(options));
-
-    server.call("Fake", 0);
-    uint64_t runsBefore = counters.runs.load();
-    uint64_t reseedsBefore = counters.reseeds.load();
-
-    std::atomic<int> outstanding{8};
-    std::mutex mu;
-    std::condition_variable cv;
-    for (uint64_t i = 0; i < 8; i++)
-        ASSERT_EQ(server.submit("Fake", i,
-                                [&](const serve::Response &) {
-                                    std::lock_guard<std::mutex> lock(
-                                        mu);
-                                    if (outstanding.fetch_sub(1) == 1)
-                                        cv.notify_all();
-                                }),
+    serve::Server server(fakeOptions(counters, /*seed_sensitive=*/false));
+    Answers answers;
+    counters.gate.close();
+    // The held request is itself the leader of the workload's one
+    // key: eight more with distinct seeds all park behind it.
+    ASSERT_EQ(server.submit("Fake", 100, answers.tag(-1)),
+              serve::RequestStatus::Ok);
+    for (int i = 0; i < 8; i++)
+        ASSERT_EQ(server.submit("Fake", static_cast<uint64_t>(i),
+                                answers.tag(i)),
                   serve::RequestStatus::Ok);
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return outstanding.load() == 0; });
-    }
+    counters.gate.open();
+    answers.wait(9);
 
-    // Eight distinct seeds, but the workload ignores them: they
-    // coalesce onto far fewer runs and never trigger a reseed.
-    EXPECT_LT(counters.runs.load() - runsBefore, 8u);
-    EXPECT_EQ(counters.reseeds.load(), reseedsBefore);
+    // Nine distinct seeds, but the workload ignores them: one run,
+    // and never a reseed.
+    EXPECT_EQ(counters.runs.load(), 1u);
+    EXPECT_EQ(counters.reseeds.load(), 0u);
+    for (const auto &[tag, response] : answers.byTag) {
+        EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+        EXPECT_EQ(response.score, answers.byTag.at(-1).score);
+    }
+    EXPECT_EQ(server.metrics().workload("Fake").singleFlightShared,
+              8u);
 }
 
-TEST(ServeServer, CoalesceOffRunsEveryRequest)
+TEST(ServeServer, CacheOffMergesOnlyConcurrentDuplicates)
 {
     FakeCounters counters;
     auto options = fakeOptions(counters, true);
-    options.coalesce = false;
     options.maxBatch = 8;
     serve::Server server(std::move(options));
+    ASSERT_EQ(server.resultCache(), nullptr);
 
+    // Six concurrent equal requests: one run.
+    Answers answers;
+    counters.gate.close();
     for (int i = 0; i < 6; i++)
-        server.call("Fake", 3);
-    EXPECT_EQ(counters.runs.load(), 6u);
+        ASSERT_EQ(server.submit("Fake", 3, answers.tag(i)),
+                  serve::RequestStatus::Ok);
+    counters.gate.open();
+    answers.wait(6);
+    EXPECT_EQ(counters.runs.load(), 1u);
+    EXPECT_EQ(server.metrics().workload("Fake").singleFlightShared,
+              5u);
+
+    // Without the cache nothing is remembered once a flight lands:
+    // each sequential repeat runs again.
+    for (int i = 0; i < 3; i++)
+        EXPECT_EQ(server.call("Fake", 3).score,
+                  answers.byTag.at(0).score);
+    EXPECT_EQ(counters.runs.load(), 4u);
     EXPECT_DOUBLE_EQ(
-        server.metrics().workload("Fake").shareFactor(), 1.0);
+        server.metrics().workload("Fake").shareFactor(), 9.0 / 4.0);
+}
+
+TEST(ServeServer, PrunedLeaderAnswersOnlyItself)
+{
+    // A queued single-flight leader that is canceled (a losing hedge)
+    // or outlives its deadline answers Canceled / Expired itself, but
+    // its followers — no cancel token, no deadline — still get the
+    // shared run. The gate holds the only worker so the leader and
+    // its follower are both queued when the leader is pruned.
+    for (bool cache : {false, true}) {
+        SCOPED_TRACE(cache ? "cache on" : "cache off");
+        FakeCounters counters;
+        auto options = fakeOptions(counters, true);
+        options.resultCache = cache;
+        serve::Server server(std::move(options));
+        Answers answers;
+        counters.gate.close();
+        ASSERT_EQ(server.submit("Fake", 1, answers.tag(0)),
+                  serve::RequestStatus::Ok);
+
+        auto cancel = std::make_shared<std::atomic<bool>>(false);
+        ASSERT_EQ(server.submit("Fake", 7, answers.tag(1),
+                                serve::noDeadline(), cancel),
+                  serve::RequestStatus::Ok);
+        ASSERT_EQ(server.submit("Fake", 7, answers.tag(2)),
+                  serve::RequestStatus::Ok);
+
+        auto deadline = serve::ServeClock::now() + 20ms;
+        ASSERT_EQ(server.submit("Fake", 8, answers.tag(3), deadline),
+                  serve::RequestStatus::Ok);
+        ASSERT_EQ(server.submit("Fake", 8, answers.tag(4)),
+                  serve::RequestStatus::Ok);
+
+        cancel->store(true);
+        // The worker stays held on the gate until the short deadline
+        // has certainly passed.
+        std::this_thread::sleep_until(deadline + 1ms);
+        counters.gate.open();
+        answers.wait(5);
+
+        EXPECT_EQ(answers.byTag.at(1).status,
+                  serve::RequestStatus::Canceled);
+        EXPECT_EQ(answers.byTag.at(3).status,
+                  serve::RequestStatus::Expired);
+        for (int follower : {2, 4}) {
+            const serve::Response &response =
+                answers.byTag.at(follower);
+            EXPECT_EQ(response.status, serve::RequestStatus::Ok)
+                << "follower " << follower;
+            EXPECT_EQ(response.shared, 1) << "follower " << follower;
+        }
+        EXPECT_EQ(answers.delivered, 5);
+        // The held request plus one run per key, each on behalf of
+        // the follower alone.
+        EXPECT_EQ(counters.runs.load(), 3u);
+        serve::WorkloadMetrics m = server.metrics().workload("Fake");
+        EXPECT_EQ(m.canceled, 1u);
+        EXPECT_EQ(m.expired, 1u);
+        EXPECT_EQ(m.completed, 3u);
+    }
+}
+
+TEST(ServeServer, PrunedLeaderWithoutFollowersDoesNotRun)
+{
+    FakeCounters counters;
+    serve::Server server(fakeOptions(counters, true));
+    Answers answers;
+    counters.gate.close();
+    ASSERT_EQ(server.submit("Fake", 1, answers.tag(0)),
+              serve::RequestStatus::Ok);
+    auto cancel = std::make_shared<std::atomic<bool>>(true);
+    ASSERT_EQ(server.submit("Fake", 7, answers.tag(1),
+                            serve::noDeadline(), cancel),
+              serve::RequestStatus::Ok);
+    counters.gate.open();
+    answers.wait(2);
+    EXPECT_EQ(answers.byTag.at(1).status,
+              serve::RequestStatus::Canceled);
+    EXPECT_EQ(counters.runs.load(), 1u);
+
+    // The pruned flight is gone: the same key runs afresh.
+    EXPECT_EQ(server.call("Fake", 7).status, serve::RequestStatus::Ok);
+    EXPECT_EQ(counters.runs.load(), 2u);
 }
 
 TEST(ServeServer, ShutdownDrainsAndThenRejects)

@@ -303,7 +303,6 @@ singleWorkerOptions()
     options.workloads = {"LNN"};
     options.workers = 1;
     options.maxBatch = 1;
-    options.maxWaitUs = 200;
     options.resultCache = false;
     options.factory = serve::serveFactory;
     return options;
@@ -588,9 +587,12 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
 {
     // Each execution sleeps 60ms; the queue never fills (capacity
     // default) but drains far slower than the 2ms sojourn target —
-    // the CoDel-style gate must start shedding at submit.
+    // the CoDel-style gate must start shedding at submit. ZeroC is
+    // seed-sensitive, so every seed is its own key and queues (LNN
+    // would fold them all onto one single-flight key).
     ASSERT_EQ(fp::configure("serve.worker.run=1.0@5~60000"), "");
     serve::ServerOptions options = singleWorkerOptions();
+    options.workloads = {"ZeroC"};
     options.targetSojournUs = 2000;
     options.sojournGraceUs = 0;
     serve::Server server(options);
@@ -599,7 +601,7 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
     int shed = 0, admitted = 0;
     for (uint64_t seed = 0; seed < 24; seed++) {
         serve::RequestStatus status = server.submit(
-            "LNN", seed,
+            "ZeroC", seed,
             [&callbacks](const serve::Response &) { callbacks++; });
         if (status == serve::RequestStatus::RejectedOverload)
             shed++;
@@ -631,7 +633,6 @@ TEST_F(Tail, HedgeCoversADelayedBackendByteIdentically)
         options.workloads = {"LNN"};
         options.workers = 2;
         options.maxBatch = 1;
-        options.maxWaitUs = 200;
         options.resultCache = false;
         if (slow)
             options.factory = [](const std::string &name) {

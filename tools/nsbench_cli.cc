@@ -10,7 +10,7 @@
  *   loadgen [options]         serve under an open-loop Poisson load
  *   route [options]           shard requests across TCP backends
  *
- * `serve` and `loadgen` start a batching inference server over
+ * `serve` and `loadgen` start an inference server over
  * pre-warmed replicas, drive it with the built-in load generator for
  * a configured window, then drain gracefully and print the SLO
  * report (p50/p95/p99 latency, throughput, neural/symbolic split).
@@ -60,9 +60,10 @@
  *   --no-stale     fail requests instead of serving a stale cached
  *                  score after the retries are exhausted
  *   --pipeline[=D] enable intra-replica stage pipelining on the
- *                  workers (queue depth D, default 2); staged
- *                  workloads overlap the coalesced executions of a
- *                  batch across their neural/symbolic stages
+ *                  workers (queue depth D, default 2); a worker
+ *                  takes up to --max-batch queued requests of one
+ *                  staged workload and overlaps their executions
+ *                  across the neural/symbolic stages
  */
 
 #include <chrono>
@@ -121,8 +122,7 @@ usage()
            "               server; needs --workloads)\n"
            "              [--json PATH]\n"
            "              [--workers N] [--max-batch N]\n"
-           "              [--max-wait-us N] [--queue N]\n"
-           "              [--model-seed N] [--no-coalesce]\n"
+           "              [--queue N] [--model-seed N]\n"
            "              [--cache on|off] [--cache-mb N]\n"
            "              [--preset serve|default]\n"
            "              [--open|--closed] [--rate HZ] [--clients N]\n"
@@ -591,16 +591,12 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             server_options.workers = std::atoi(next());
         } else if (arg == "--max-batch") {
             server_options.maxBatch = std::atoi(next());
-        } else if (arg == "--max-wait-us") {
-            server_options.maxWaitUs = std::atoll(next());
         } else if (arg == "--queue") {
             server_options.queueCapacity =
                 static_cast<size_t>(std::atoll(next()));
         } else if (arg == "--model-seed") {
             server_options.modelSeed =
                 std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--no-coalesce") {
-            server_options.coalesce = false;
         } else if (arg == "--cache") {
             server_options.resultCache = parseCacheMode(next());
         } else if (arg == "--cache-mb") {
@@ -1023,10 +1019,7 @@ cmdServe(int argc, char **argv, bool open_loop)
                       << server_options.workloads[i];
         std::cout << "\nworkers:  " << server_options.workers
                   << "  max-batch " << server_options.maxBatch
-                  << "  max-wait "
-                  << server_options.maxWaitUs << "us  queue "
-                  << server_options.queueCapacity << "  coalesce "
-                  << (server_options.coalesce ? "on" : "off")
+                  << "  queue " << server_options.queueCapacity
                   << "  cache "
                   << (server_options.resultCache ? "on" : "off");
         if (server_options.pipelineDepth > 0)
