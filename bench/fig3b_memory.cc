@@ -10,10 +10,8 @@
  * weights plus VSA codebooks dominate persistent storage (>90% for
  * NVSA).
  *
- * The alloc/recycled columns expose allocation churn: total storage
- * acquisitions and how many the arena allocator served from its free
- * lists (zero in heap mode). Peak/alloc byte figures are logical and
- * identical whichever allocator is active.
+ * The allocs column exposes allocation churn: total storage buffers
+ * acquired. Peak/alloc byte figures are logical tensor bytes.
  */
 
 #include <iostream>
@@ -33,13 +31,11 @@ main()
 
     util::Table table({"workload", "peak-live", "neural-peak",
                        "symbolic-peak", "neural-alloc",
-                       "symbolic-alloc", "allocs", "recycled",
-                       "model-storage"});
+                       "symbolic-alloc", "allocs", "model-storage"});
 
     for (const auto &name : bench::paperOrder()) {
         auto run = bench::profileWorkload(name);
         const auto &p = run.profile;
-        core::MemChurn churn = p.memChurn();
         table.addRow(
             {name, util::humanBytes(p.peakBytes()),
              util::humanBytes(p.peakBytesIn(core::Phase::Neural)),
@@ -48,8 +44,7 @@ main()
                  p.allocatedBytesIn(core::Phase::Neural)),
              util::humanBytes(
                  p.allocatedBytesIn(core::Phase::Symbolic)),
-             std::to_string(churn.allocs),
-             std::to_string(churn.recycledAllocs),
+             std::to_string(p.memChurn().allocs),
              util::humanBytes(run.storageBytes)});
     }
     table.print(std::cout);

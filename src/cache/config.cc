@@ -20,8 +20,8 @@ std::atomic<int> gOverride{kUnset};
 bool
 resolveDefault()
 {
-    // Mirrors tensor::alloc's NSBENCH_ARENA handling: unset or
-    // off-ish values mean the historical uncached behaviour.
+    // Unset or off-ish values mean the historical uncached
+    // behaviour; anything unrecognised is fatal.
     const char *env = std::getenv("NSBENCH_CACHE");
     if (env == nullptr || env[0] == '\0')
         return false;

@@ -231,7 +231,7 @@ Profiler::flushThisThread()
 }
 
 void
-Profiler::recordAlloc(uint64_t bytes, bool recycled)
+Profiler::recordAlloc(uint64_t bytes)
 {
     if (!enabled())
         return;
@@ -244,12 +244,6 @@ Profiler::recordAlloc(uint64_t bytes, bool recycled)
     phaseAllocBytes_[p] += bytes;
     churn_.allocs++;
     phaseChurn_[p].allocs++;
-    if (recycled) {
-        churn_.recycledAllocs++;
-        churn_.recycledBytes += bytes;
-        phaseChurn_[p].recycledAllocs++;
-        phaseChurn_[p].recycledBytes += bytes;
-    }
 }
 
 void

@@ -75,23 +75,19 @@ struct NamedOpStats
 
 /**
  * Tensor-storage allocation churn. Alloc/free counts are physical
- * buffer events; recycled* splits out the allocations the arena served
- * from a free list instead of the heap (always zero in heap mode).
- * Byte figures elsewhere in the profiler stay logical — peak/live
- * accounting is identical whichever allocator is active — so churn is
- * the one place allocator behaviour is visible.
+ * buffer events; cached* counts precomputed structures reused instead
+ * of rebuilt. Byte figures elsewhere in the profiler are logical
+ * tensor bytes.
  */
 struct MemChurn
 {
     uint64_t allocs = 0;         ///< Storage buffers acquired.
     uint64_t frees = 0;          ///< Storage buffers released.
-    uint64_t recycledAllocs = 0; ///< Allocs served by arena reuse.
-    uint64_t recycledBytes = 0;  ///< Logical bytes of those allocs.
     uint64_t cachedAllocs = 0;   ///< Structures reused from a cache.
     uint64_t cachedBytes = 0;    ///< Logical bytes of those reuses.
 
-    /** Allocations that had to hit the heap. */
-    uint64_t freshAllocs() const { return allocs - recycledAllocs; }
+    /** Allocations that hit the heap: every one of them. */
+    uint64_t freshAllocs() const { return allocs; }
 
     /** Folds another aggregate into this one. */
     void
@@ -99,8 +95,6 @@ struct MemChurn
     {
         allocs += other.allocs;
         frees += other.frees;
-        recycledAllocs += other.recycledAllocs;
-        recycledBytes += other.recycledBytes;
         cachedAllocs += other.cachedAllocs;
         cachedBytes += other.cachedBytes;
     }
@@ -208,13 +202,8 @@ class Profiler
                   double seconds, double flops, double bytes_read,
                   double bytes_written);
 
-    /**
-     * Notes a tensor allocation of @p bytes (logical tensor size, not
-     * allocator capacity). @p recycled marks buffers the arena served
-     * from a free list rather than the heap; it affects only the churn
-     * counters, never the live/peak byte accounting.
-     */
-    void recordAlloc(uint64_t bytes, bool recycled = false);
+    /** Notes a tensor allocation of @p bytes (logical tensor size). */
+    void recordAlloc(uint64_t bytes);
 
     /** Notes a tensor deallocation of @p bytes. */
     void recordFree(uint64_t bytes);

@@ -88,8 +88,7 @@ Table
 memoryTable(const Profiler &profiler)
 {
     Table table({"phase", "peak-live", "allocated", "allocs",
-                 "fresh", "recycled", "recycled-bytes", "cached",
-                 "cached-bytes"});
+                 "cached", "cached-bytes"});
     for (Phase phase :
          {Phase::Neural, Phase::Symbolic, Phase::Untagged}) {
         uint64_t peak = profiler.peakBytesIn(phase);
@@ -101,9 +100,6 @@ memoryTable(const Profiler &profiler)
         table.addRow({std::string(phaseName(phase)), humanBytes(peak),
                       humanBytes(alloc),
                       std::to_string(churn.allocs),
-                      std::to_string(churn.freshAllocs()),
-                      std::to_string(churn.recycledAllocs),
-                      humanBytes(churn.recycledBytes),
                       std::to_string(churn.cachedAllocs),
                       humanBytes(churn.cachedBytes)});
     }

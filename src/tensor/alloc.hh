@@ -1,89 +1,27 @@
 /**
  * @file
- * Tensor storage allocation policy.
+ * Tensor storage allocation.
  *
- * Chooses where tensor storage buffers come from:
- *
- *  - Heap (the default): every buffer is a fresh 64-byte-aligned heap
- *    allocation, matching the historical std::vector-backed storage.
- *  - Arena: buffers come from util::Arena's size-classed free lists,
- *    so steady-state execution recycles instead of allocating.
- *
- * Selection mirrors the SIMD/threads override pattern:
- *
- *  - NSBENCH_ARENA=on|1|true   opt into the arena,
- *  - NSBENCH_ARENA=off|0|false force the heap (also the default),
- *  - setAllocator() overrides programmatically (used by --arena and
- *    the allocator tests to compare both modes in one process).
- *
- * Correctness contract: the allocator changes only where bytes live,
- * never what the kernels compute — results, profiler FLOP/byte
- * attribution and the Fig. 3b live-byte accounting are identical in
- * both modes (live bytes track the logical tensor size, not the
- * rounded arena class). Buffers remember which allocator produced
- * them, so toggling the mode while tensors are alive is safe.
+ * Every tensor buffer is one fresh 64-byte-aligned heap allocation,
+ * made and released by Tensor's storage (tensor/tensor.cc). There is
+ * no allocator policy to choose: Fig. 3b's live/peak accounting is in
+ * logical tensor bytes, so where the bytes live never changed a
+ * reported figure, and a recycling pool measured no faster (see
+ * DESIGN.md §7c).
  */
 
 #ifndef NSBENCH_TENSOR_ALLOC_HH
 #define NSBENCH_TENSOR_ALLOC_HH
 
-#include <cstddef>
-
 namespace nsbench::tensor
 {
 
-/** Where tensor storage buffers come from. */
-enum class AllocatorKind
+/** Name of the tensor allocator, for run provenance: "heap". */
+inline const char *
+activeAllocatorName()
 {
-    Heap,  ///< Fresh heap allocation per buffer (default).
-    Arena, ///< Size-classed recycling via util::Arena.
-};
-
-/**
- * The allocator new tensor storage uses, resolved once from the
- * NSBENCH_ARENA override (default Heap). Thread-safe.
- */
-AllocatorKind activeAllocator();
-
-/**
- * Overrides the active allocator (test hook; also used by --arena).
- * Live tensors keep the allocator they were created with. Call
- * outside parallel regions.
- */
-void setAllocator(AllocatorKind kind);
-
-/** Drops any override; the next activeAllocator() re-resolves. */
-void resetAllocator();
-
-/** Human-readable name: "heap" or "arena". */
-const char *allocatorName(AllocatorKind kind);
-
-/** Shorthand for allocatorName(activeAllocator()). */
-const char *activeAllocatorName();
-
-namespace detail
-{
-
-/**
- * One raw storage buffer for `n` floats, plus the bookkeeping needed
- * to return it to whichever allocator produced it. The contents are
- * UNINITIALIZED; Tensor's constructors decide whether to zero-fill.
- */
-struct RawStorage
-{
-    float *data = nullptr;
-    size_t classBytes = 0; ///< Rounded capacity (arena blocks only).
-    bool fromArena = false;
-    bool recycled = false; ///< Served from an arena free list.
-};
-
-/** Acquires an uninitialized buffer for @p n floats. */
-RawStorage acquireStorage(size_t n);
-
-/** Returns a buffer to the allocator that produced it. */
-void releaseStorage(const RawStorage &raw);
-
-} // namespace detail
+    return "heap";
+}
 
 } // namespace nsbench::tensor
 

@@ -18,6 +18,10 @@
  * both backends. Do NOT fuse with different arithmetic (e.g. an FMA
  * where the unfused chain did mul-then-add): that changes rounding.
  *
+ * These two frames are the only same-shape elementwise frames: every
+ * elementwise op in tensor/ops.hh, allocating or in place, is a
+ * fusedMap/fusedMapUnary call with a one-kernel chunk function.
+ *
  * Aliasing: `out` may be one of the inputs (exact overlap only),
  * which is how the *InPlace ops in tensor/ops.hh are built.
  */
@@ -57,8 +61,11 @@ void
 fusedMap(const char *name, Tensor &out, const Tensor &a,
          const Tensor &b, double flops_per_elem, ChunkFn chunk_fn)
 {
-    util::panicIf(a.shape() != b.shape() || out.shape() != a.shape(),
-                  std::string(name) + ": shape mismatch");
+    const Shape &other =
+        a.shape() != b.shape() ? b.shape() : out.shape();
+    if (other != a.shape())
+        util::panic(std::string(name) + ": shape mismatch " +
+                    shapeStr(a.shape()) + " vs " + shapeStr(other));
     core::ScopedOp op(name, core::OpCategory::VectorElementwise);
     auto pa = a.data();
     auto pb = b.data();
@@ -85,8 +92,10 @@ void
 fusedMapUnary(const char *name, Tensor &out, const Tensor &a,
               double flops_per_elem, ChunkFn chunk_fn)
 {
-    util::panicIf(out.shape() != a.shape(),
-                  std::string(name) + ": shape mismatch");
+    if (out.shape() != a.shape())
+        util::panic(std::string(name) + ": shape mismatch " +
+                    shapeStr(a.shape()) + " vs " +
+                    shapeStr(out.shape()));
     core::ScopedOp op(name, core::OpCategory::VectorElementwise);
     auto pa = a.data();
     auto po = out.data();

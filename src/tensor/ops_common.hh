@@ -9,21 +9,14 @@
 
 #include <algorithm>
 
-#include "core/profiler.hh"
+#include "tensor/fused.hh"
 #include "tensor/tensor.hh"
-#include "util/logging.hh"
-#include "util/simd.hh"
 #include "util/threadpool.hh"
 
 namespace nsbench::tensor::detail
 {
 
 inline constexpr double elemBytes = sizeof(float);
-
-/** Span kernel signatures from the SIMD backend (util/simd.hh). */
-using BinaryKernel = void (*)(const float *, const float *, float *,
-                              int64_t);
-using UnaryKernel = void (*)(const float *, float *, int64_t);
 
 /**
  * Runs a deterministic chunked reduction: [0, items) is cut into
@@ -50,134 +43,35 @@ chunkedReduce(int64_t items, int64_t grain, Partial partial,
         combine(c);
 }
 
-/** Applies f element-wise over two same-shape tensors. */
-template <typename F>
-Tensor
-ewBinary(const char *name, const Tensor &a, const Tensor &b, F f,
-         double flops_per_elem = 1.0)
-{
-    util::panicIf(a.shape() != b.shape(),
-                  std::string(name) + ": shape mismatch " +
-                      shapeStr(a.shape()) + " vs " +
-                      shapeStr(b.shape()));
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; i++)
-                              po[static_cast<size_t>(i)] =
-                                  f(pa[static_cast<size_t>(i)],
-                                    pb[static_cast<size_t>(i)]);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(2.0 * static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
+/** Binary span kernel signature from the SIMD backend (util/simd.hh). */
+using BinaryKernel = void (*)(const float *, const float *, float *,
+                              int64_t);
 
-/** Applies f element-wise over one tensor. */
-template <typename F>
-Tensor
-ewUnary(const char *name, const Tensor &a, F f,
-        double flops_per_elem = 1.0)
+/**
+ * out = kernel(a, b) as one op through the fusedMap frame. `out` may
+ * be `a` or `b` (the in-place ops pass dst twice).
+ */
+inline void
+mapBinary(const char *name, Tensor &out, const Tensor &a,
+          const Tensor &b, BinaryKernel kernel)
 {
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; i++)
-                              po[static_cast<size_t>(i)] =
-                                  f(pa[static_cast<size_t>(i)]);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
+    fusedMap(name, out, a, b, 1.0,
+             [kernel](const float *pa, const float *pb, float *po,
+                      float *, int64_t n) { kernel(pa, pb, po, n); });
 }
 
 /**
- * Applies a SIMD span kernel element-wise over two same-shape tensors.
- * The kernel runs once per ThreadPool chunk, so the result is the
- * same at every thread count for a fixed backend.
+ * out = span_fn(a) as one op through the fusedMapUnary frame, where
+ * `span_fn(in, out, len)` maps one tile. `out` may be `a`.
  */
-inline Tensor
-ewBinaryKernel(const char *name, const Tensor &a, const Tensor &b,
-               BinaryKernel kernel, double flops_per_elem = 1.0)
+template <typename SpanFn>
+void
+mapUnary(const char *name, Tensor &out, const Tensor &a,
+         double flops_per_elem, SpanFn span_fn)
 {
-    util::panicIf(a.shape() != b.shape(),
-                  std::string(name) + ": shape mismatch " +
-                      shapeStr(a.shape()) + " vs " +
-                      shapeStr(b.shape()));
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto pb = b.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pa.data() + lo, pb.data() + lo,
-                                 po.data() + lo, hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(2.0 * static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
-
-/** Applies a SIMD (tensor, scalar) span kernel element-wise. */
-inline Tensor
-ewScalarKernel(const char *name, const Tensor &a, float s,
-               void (*kernel)(const float *, float, float *, int64_t),
-               double flops_per_elem = 1.0)
-{
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pa.data() + lo, s, po.data() + lo,
-                                 hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
-}
-
-/** Applies a SIMD span kernel element-wise over one tensor. */
-inline Tensor
-ewUnaryKernel(const char *name, const Tensor &a, UnaryKernel kernel,
-              double flops_per_elem = 1.0)
-{
-    core::ScopedOp op(name, core::OpCategory::VectorElementwise);
-    // Every element is written below: uninitialized is legal.
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(flops_per_elem),
-                      [&](int64_t lo, int64_t hi) {
-                          kernel(pa.data() + lo, po.data() + lo,
-                                 hi - lo);
-                      });
-    op.setFlops(static_cast<double>(n) * flops_per_elem);
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
+    fusedMapUnary(name, out, a, flops_per_elem,
+                  [&span_fn](const float *pa, float *po, float *,
+                             int64_t n) { span_fn(pa, po, n); });
 }
 
 } // namespace nsbench::tensor::detail

@@ -4,153 +4,191 @@
 
 #include "tensor/ops.hh"
 #include "tensor/ops_common.hh"
+#include "util/simd.hh"
 
 namespace nsbench::tensor
 {
 
 using detail::elemBytes;
-using detail::ewBinary;
-using detail::ewBinaryKernel;
-using detail::ewUnary;
-using detail::ewUnaryKernel;
 
 namespace simd = nsbench::util::simd;
+
+namespace
+{
+
+/** A fresh tensor holding kernel(a, b), recorded as one op. */
+Tensor
+binaryOp(const char *name, const Tensor &a, const Tensor &b,
+         detail::BinaryKernel kernel)
+{
+    // Every element is written: uninitialized is legal.
+    Tensor out = Tensor::uninitialized(a.shape());
+    detail::mapBinary(name, out, a, b, kernel);
+    return out;
+}
+
+/** A fresh tensor holding span_fn(a), recorded as one op. */
+template <typename SpanFn>
+Tensor
+unaryOp(const char *name, const Tensor &a, SpanFn span_fn,
+        double flops_per_elem = 1.0)
+{
+    // Every element is written: uninitialized is legal.
+    Tensor out = Tensor::uninitialized(a.shape());
+    detail::mapUnary(name, out, a, flops_per_elem, span_fn);
+    return out;
+}
+
+/** Lifts a per-element function to a span loop for unaryOp(). */
+template <typename F>
+auto
+perElement(F f)
+{
+    return [f](const float *x, float *y, int64_t n) {
+        for (int64_t i = 0; i < n; i++)
+            y[i] = f(x[i]);
+    };
+}
+
+} // namespace
 
 Tensor
 add(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("add", a, b, simd::add);
+    return binaryOp("add", a, b, simd::add);
 }
 
 Tensor
 sub(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("sub", a, b, simd::sub);
+    return binaryOp("sub", a, b, simd::sub);
 }
 
 Tensor
 mul(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("mul", a, b, simd::mul);
+    return binaryOp("mul", a, b, simd::mul);
 }
 
 Tensor
 div(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("div", a, b, simd::div);
+    return binaryOp("div", a, b, simd::div);
 }
 
 Tensor
 minimum(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("minimum", a, b, simd::minimum);
+    return binaryOp("minimum", a, b, simd::minimum);
 }
 
 Tensor
 maximum(const Tensor &a, const Tensor &b)
 {
-    return ewBinaryKernel("maximum", a, b, simd::maximum);
+    return binaryOp("maximum", a, b, simd::maximum);
 }
 
 Tensor
 addScalar(const Tensor &a, float s)
 {
-    return detail::ewScalarKernel("add_scalar", a, s,
-                                  simd::addScalar);
+    return unaryOp("add_scalar", a,
+                   [s](const float *x, float *y, int64_t n) {
+                       simd::addScalar(x, s, y, n);
+                   });
 }
 
 Tensor
 mulScalar(const Tensor &a, float s)
 {
-    return detail::ewScalarKernel("mul_scalar", a, s,
-                                  simd::mulScalar);
+    return unaryOp("mul_scalar", a,
+                   [s](const float *x, float *y, int64_t n) {
+                       simd::mulScalar(x, s, y, n);
+                   });
 }
 
 Tensor
 relu(const Tensor &a)
 {
-    return ewUnaryKernel("relu", a, simd::relu);
+    return unaryOp("relu", a, simd::relu);
 }
 
 Tensor
 sigmoid(const Tensor &a)
 {
-    return ewUnary(
-        "sigmoid", a,
-        [](float x) { return 1.0f / (1.0f + std::exp(-x)); }, 4.0);
+    return unaryOp("sigmoid", a, perElement([](float x) {
+                       return 1.0f / (1.0f + std::exp(-x));
+                   }),
+                   4.0);
 }
 
 Tensor
 tanhOp(const Tensor &a)
 {
-    return ewUnary("tanh", a, [](float x) { return std::tanh(x); },
+    return unaryOp("tanh", a,
+                   perElement([](float x) { return std::tanh(x); }),
                    4.0);
 }
 
 Tensor
 expOp(const Tensor &a)
 {
-    return ewUnary("exp", a, [](float x) { return std::exp(x); }, 2.0);
+    return unaryOp("exp", a,
+                   perElement([](float x) { return std::exp(x); }),
+                   2.0);
 }
 
 Tensor
 logOp(const Tensor &a)
 {
-    return ewUnary("log", a, [](float x) { return std::log(x); }, 2.0);
+    return unaryOp("log", a,
+                   perElement([](float x) { return std::log(x); }),
+                   2.0);
 }
 
 Tensor
 sqrtOp(const Tensor &a)
 {
-    return ewUnary("sqrt", a, [](float x) { return std::sqrt(x); },
+    return unaryOp("sqrt", a,
+                   perElement([](float x) { return std::sqrt(x); }),
                    2.0);
 }
 
 Tensor
 neg(const Tensor &a)
 {
-    return ewUnaryKernel("neg", a, simd::negate);
+    return unaryOp("neg", a, simd::negate);
 }
 
 Tensor
 absOp(const Tensor &a)
 {
-    return ewUnaryKernel("abs", a, simd::absolute);
+    return unaryOp("abs", a, simd::absolute);
 }
 
 Tensor
 sign(const Tensor &a)
 {
-    return ewUnary("sign", a, [](float x) {
-        return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-    });
+    return unaryOp("sign", a, perElement([](float x) {
+                       return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
+                   }));
 }
 
 Tensor
 clamp(const Tensor &a, float lo, float hi)
 {
-    core::ScopedOp op("clamp", core::OpCategory::VectorElementwise);
-    Tensor out = Tensor::uninitialized(a.shape());
-    auto pa = a.data();
-    auto po = out.data();
-    auto n = static_cast<int64_t>(pa.size());
-    util::parallelFor(0, n, util::grainFor(1.0),
-                      [&](int64_t l, int64_t h) {
-                          simd::clampRange(pa.data() + l, lo, hi,
-                                           po.data() + l, h - l);
-                      });
-    op.setFlops(static_cast<double>(n));
-    op.setBytesRead(static_cast<double>(n) * elemBytes);
-    op.setBytesWritten(static_cast<double>(n) * elemBytes);
-    return out;
+    return unaryOp("clamp", a,
+                   [lo, hi](const float *x, float *y, int64_t n) {
+                       simd::clampRange(x, lo, hi, y, n);
+                   });
 }
 
 Tensor
 powOp(const Tensor &a, float exponent)
 {
-    return ewUnary("pow", a, [exponent](float x) {
-        return std::pow(x, exponent);
-    }, 4.0);
+    return unaryOp("pow", a, perElement([exponent](float x) {
+                       return std::pow(x, exponent);
+                   }),
+                   4.0);
 }
 
 float

@@ -2,6 +2,7 @@
 
 #include "tensor/ops.hh"
 #include "tensor/ops_common.hh"
+#include "util/simd.hh"
 
 namespace nsbench::tensor
 {

@@ -195,9 +195,11 @@ gatherRows(const Tensor &a, const std::vector<int64_t> &rows)
         int64_t row = rows[r];
         util::panicIf(row < 0 || row >= a.size(0),
                       "gatherRows: row index out of range");
-        std::copy(&src[static_cast<size_t>(row * cols)],
-                  &src[static_cast<size_t>((row + 1) * cols)],
-                  &dst[r * static_cast<size_t>(cols)]);
+        // Pointer arithmetic, not span indexing: the last row's end
+        // is one past the buffer, which span::operator[] rejects.
+        const float *first = src.data() + row * cols;
+        std::copy(first, first + cols,
+                  dst.data() + static_cast<int64_t>(r) * cols);
     }
     auto numel = static_cast<double>(out.numel());
     op.setBytesRead(numel * elemBytes +

@@ -60,9 +60,10 @@ Codebook::atom(int64_t index) const
     Tensor out = Tensor::uninitialized({dim()});
     auto src = atoms_.data();
     auto dst = out.data();
-    auto d = static_cast<size_t>(dim());
-    std::copy(&src[static_cast<size_t>(index) * d],
-              &src[static_cast<size_t>(index + 1) * d], dst.begin());
+    // The last atom's end is one past the buffer: form it by pointer
+    // arithmetic, not span::operator[].
+    const float *first = src.data() + index * dim();
+    std::copy(first, first + dim(), dst.begin());
     return out;
 }
 

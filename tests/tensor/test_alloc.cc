@@ -1,120 +1,73 @@
 /**
  * @file
- * Allocator-policy tests: the arena must change where bytes live and
- * nothing else. Live-byte accounting, peaks, and workload results are
- * required to be identical in heap and arena mode; only the churn
- * counters may differ.
+ * Tensor storage tests: every buffer is one 64-byte-aligned heap
+ * allocation, live/peak accounting is in logical tensor bytes, every
+ * allocation counts as fresh churn, and copies out of a buffer's last
+ * row end exactly at the buffer's end.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/profiler.hh"
-#include "tensor/alloc.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
-#include "workloads/lnn.hh"
+#include "vsa/codebook.hh"
 
 namespace
 {
 
 using namespace nsbench;
-using tensor::AllocatorKind;
 using tensor::Tensor;
 
-/** Pins one allocator for a test and restores the default after. */
-class AllocTest : public testing::TestWithParam<AllocatorKind>
+/** Starts and ends each test with a clean global profiler. */
+class AllocTest : public testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        util::Arena::global().trim();
-        util::Arena::global().resetStats();
-        tensor::setAllocator(GetParam());
-        core::globalProfiler().reset();
-    }
-
-    void
-    TearDown() override
-    {
-        tensor::resetAllocator();
-        util::Arena::global().trim();
-        core::globalProfiler().reset();
-    }
+    void SetUp() override { core::globalProfiler().reset(); }
+    void TearDown() override { core::globalProfiler().reset(); }
 };
 
-TEST(AllocPolicyTest, SetAllocatorOverridesAndNames)
+bool
+cacheLineAligned(const Tensor &t)
 {
-    tensor::setAllocator(AllocatorKind::Arena);
-    EXPECT_EQ(tensor::activeAllocator(), AllocatorKind::Arena);
-    EXPECT_STREQ(tensor::activeAllocatorName(), "arena");
-    tensor::setAllocator(AllocatorKind::Heap);
-    EXPECT_EQ(tensor::activeAllocator(), AllocatorKind::Heap);
-    EXPECT_STREQ(tensor::activeAllocatorName(), "heap");
-    tensor::resetAllocator();
+    return reinterpret_cast<uintptr_t>(t.data().data()) % 64 == 0;
 }
 
-TEST(AllocPolicyTest, ArenaReusesStorageAcrossTensorLifetimes)
+TEST_F(AllocTest, EveryBufferIsCacheLineAligned)
 {
-    tensor::setAllocator(AllocatorKind::Arena);
-    util::Arena::global().trim();
-    util::Arena::global().resetStats();
-
-    { Tensor warm({1024}); } // dies: its block parks on a free list
-    { Tensor reuse({1024}); }
-    { Tensor again({1000}); } // same 4 KiB class despite smaller shape
-
-    auto stats = util::Arena::global().stats();
-    EXPECT_EQ(stats.freshAllocs, 1u);
-    EXPECT_EQ(stats.reusedAllocs, 2u);
-
-    tensor::resetAllocator();
-    util::Arena::global().trim();
-}
-
-TEST(AllocPolicyTest, MixedModeReleaseHonorsProvenance)
-{
-    // A tensor created in arena mode must return to the arena even if
-    // the mode flipped to heap while it was alive (and vice versa).
-    tensor::setAllocator(AllocatorKind::Arena);
-    util::Arena::global().trim();
-    util::Arena::global().resetStats();
-    {
-        Tensor arena_born({512});
-        tensor::setAllocator(AllocatorKind::Heap);
-        Tensor heap_born({512});
-        tensor::setAllocator(AllocatorKind::Arena);
+    util::Rng rng(5);
+    for (int64_t n : {1, 3, 17, 100, 1000, 4099}) {
+        EXPECT_TRUE(cacheLineAligned(Tensor({n}))) << n;
+        EXPECT_TRUE(cacheLineAligned(Tensor::uninitialized({n}))) << n;
+        Tensor r = Tensor::randn({n}, rng);
+        EXPECT_TRUE(cacheLineAligned(r)) << n;
+        EXPECT_TRUE(cacheLineAligned(r.clone())) << n;
+        EXPECT_TRUE(cacheLineAligned(tensor::add(r, r))) << n;
     }
-    auto stats = util::Arena::global().stats();
-    EXPECT_EQ(stats.freshAllocs, 1u);
-    EXPECT_EQ(stats.releases, 1u);
-
-    tensor::resetAllocator();
-    util::Arena::global().trim();
 }
 
-TEST_P(AllocTest, PeakTracksLiveLogicalBytesNotArenaCapacity)
+TEST_F(AllocTest, PeakTracksLiveLogicalBytes)
 {
     auto &prof = core::globalProfiler();
 
     // Two sequential short-lived tensors: the live high-water mark is
-    // ONE tensor's logical size, even though the arena's capacity
-    // could legally be anything.
+    // ONE tensor's logical size.
     { Tensor a({1024}); }
     { Tensor b({1024}); }
     EXPECT_EQ(prof.peakBytes(), 1024u * sizeof(float));
     EXPECT_EQ(prof.currentBytes(), 0u);
 
-    // Logical bytes, not the rounded size class: 100 floats = 400
-    // bytes even though the arena block is 512.
+    // Logical bytes: 100 floats = 400 bytes, whatever the allocation
+    // rounds up to.
     prof.reset();
     { Tensor c({100}); }
     EXPECT_EQ(prof.peakBytes(), 400u);
 }
 
-TEST_P(AllocTest, ChurnCountsAllocatorBehaviour)
+TEST_F(AllocTest, ChurnCountsEveryAllocationAsFresh)
 {
     auto &prof = core::globalProfiler();
     { Tensor warm({100}); }
@@ -124,67 +77,27 @@ TEST_P(AllocTest, ChurnCountsAllocatorBehaviour)
     core::MemChurn churn = prof.memChurn();
     EXPECT_EQ(churn.allocs, 1u);
     EXPECT_EQ(churn.frees, 1u);
-    if (GetParam() == AllocatorKind::Arena) {
-        // Warmed pool: the alloc is recycled, counted in LOGICAL bytes.
-        EXPECT_EQ(churn.recycledAllocs, 1u);
-        EXPECT_EQ(churn.recycledBytes, 400u);
-        EXPECT_EQ(churn.freshAllocs(), 0u);
-    } else {
-        EXPECT_EQ(churn.recycledAllocs, 0u);
-        EXPECT_EQ(churn.freshAllocs(), 1u);
+    EXPECT_EQ(churn.freshAllocs(), 1u);
+}
+
+TEST_F(AllocTest, LastRowAndLastAtomCopiesStayInBounds)
+{
+    // A copy whose end is built by indexing one past the buffer aborts
+    // under _GLIBCXX_ASSERTIONS; the last row/atom is that case.
+    Tensor m({3, 4}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+    Tensor rows = tensor::gatherRows(m, {2, 0});
+    ASSERT_EQ(rows.shape(), (tensor::Shape{2, 4}));
+    for (int64_t j = 0; j < 4; j++) {
+        EXPECT_EQ(rows(0, j), m(2, j));
+        EXPECT_EQ(rows(1, j), m(0, j));
     }
-}
 
-TEST_P(AllocTest, OpResultsDoNotDependOnAllocator)
-{
-    util::Rng rng(123);
-    Tensor a = Tensor::randn({64, 64}, rng);
-    Tensor b = Tensor::randn({64, 64}, rng);
-    Tensor sum = tensor::add(a, b);
-    Tensor prod = tensor::matmul(a, b);
-
-    // Recompute with the OTHER allocator: bit-identical results.
-    tensor::setAllocator(GetParam() == AllocatorKind::Arena
-                             ? AllocatorKind::Heap
-                             : AllocatorKind::Arena);
-    Tensor sum2 = tensor::add(a, b);
-    Tensor prod2 = tensor::matmul(a, b);
-    for (int64_t i = 0; i < sum.numel(); i++)
-        ASSERT_EQ(sum.data()[static_cast<size_t>(i)],
-                  sum2.data()[static_cast<size_t>(i)]);
-    for (int64_t i = 0; i < prod.numel(); i++)
-        ASSERT_EQ(prod.data()[static_cast<size_t>(i)],
-                  prod2.data()[static_cast<size_t>(i)]);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BothAllocators, AllocTest,
-    testing::Values(AllocatorKind::Heap, AllocatorKind::Arena),
-    [](const testing::TestParamInfo<AllocatorKind> &info) {
-        return std::string(tensor::allocatorName(info.param));
-    });
-
-TEST(AllocWorkloadTest, WorkloadScoreIdenticalAcrossAllocators)
-{
-    auto run_with = [](AllocatorKind kind) {
-        tensor::setAllocator(kind);
-        util::Arena::global().trim();
-        workloads::LnnWorkload w(
-            workloads::LnnConfig{2, 3, 16, 2, 8});
-        w.setUp(11);
-        core::globalProfiler().reset();
-        double score = w.run();
-        uint64_t peak = core::globalProfiler().peakBytes();
-        core::globalProfiler().reset();
-        return std::pair<double, uint64_t>(score, peak);
-    };
-    auto heap = run_with(AllocatorKind::Heap);
-    auto arena = run_with(AllocatorKind::Arena);
-    tensor::resetAllocator();
-    util::Arena::global().trim();
-
-    EXPECT_EQ(heap.first, arena.first);   // bit-identical score
-    EXPECT_EQ(heap.second, arena.second); // identical Fig. 3b peak
+    util::Rng rng(9);
+    vsa::Codebook book(5, 64, rng);
+    Tensor last = book.atom(4);
+    ASSERT_EQ(last.numel(), 64);
+    for (int64_t j = 0; j < 64; j++)
+        EXPECT_EQ(last(j), book.matrix()(4, j));
 }
 
 } // namespace

@@ -174,7 +174,8 @@ TEST(ElementwiseDeath, ShapeMismatch)
 {
     Tensor a({2});
     Tensor b({3});
-    EXPECT_DEATH(add(a, b), "shape mismatch");
+    // The message names the op and both shapes, lhs first.
+    EXPECT_DEATH(add(a, b), "add: shape mismatch \\[2\\] vs \\[3\\]");
 }
 
 } // namespace

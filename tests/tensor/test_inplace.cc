@@ -135,7 +135,8 @@ TEST(InPlaceOpsTest, ShapeMismatchPanics)
 {
     Tensor a = Tensor::ones({8});
     Tensor b = Tensor::ones({9});
-    EXPECT_DEATH(tensor::addInPlace(a, b), "shape");
+    EXPECT_DEATH(tensor::addInPlace(a, b),
+                 "add_inplace: shape mismatch \\[8\\] vs \\[9\\]");
 }
 
 TEST(FusedMapTest, MatchesComposedKernelChain)

@@ -32,8 +32,6 @@
  *                  NSBENCH_THREADS env var, else hardware concurrency)
  *   --simd MODE    kernel backend: "scalar", "avx2" or "auto"
  *                  (default: NSBENCH_SIMD env var, else CPUID)
- *   --arena MODE   tensor allocator: "on" (size-classed arena) or
- *                  "off" (plain heap; default, or NSBENCH_ARENA env)
  *   --cache MODE   memoization: "on" enables the seed-invariant
  *                  precompute cache (and, for serve/loadgen, the
  *                  request-result cache); "off" disables both
@@ -90,7 +88,6 @@
 #include "core/workload.hh"
 #include "sim/device.hh"
 #include "sim/projection.hh"
-#include "tensor/alloc.hh"
 #include "util/failpoint.hh"
 #include "util/format.hh"
 #include "util/simd.hh"
@@ -113,8 +110,7 @@ usage()
            "  nsbench devices\n"
            "  nsbench run <workload> [--seed N] [--runs N]\n"
            "              [--threads N] [--simd scalar|avx2|auto]\n"
-           "              [--arena on|off] [--cache on|off]\n"
-           "              [--cache-mb N] [--csv]\n"
+           "              [--cache on|off] [--cache-mb N] [--csv]\n"
            "              [--device NAME|all] [--pipeline[=D]]\n"
            "  nsbench serve|loadgen [--workloads A,B,...]\n"
            "              [--listen [HOST:]PORT] (serve over TCP)\n"
@@ -366,16 +362,6 @@ cmdRun(int argc, char **argv)
                 std::cerr << "--simd must be scalar, avx2 or auto\n";
                 return 2;
             }
-        } else if (arg == "--arena") {
-            std::string mode = next();
-            if (mode == "on") {
-                tensor::setAllocator(tensor::AllocatorKind::Arena);
-            } else if (mode == "off") {
-                tensor::setAllocator(tensor::AllocatorKind::Heap);
-            } else {
-                std::cerr << "--arena must be on or off\n";
-                return 2;
-            }
         } else if (arg == "--cache") {
             parseCacheMode(next());
         } else if (arg == "--cache-mb") {
@@ -436,7 +422,6 @@ cmdRun(int argc, char **argv)
                   << util::humanBytes(workload->storageBytes())
                   << "\nthreads:  " << util::ThreadPool::globalThreads()
                   << "\nsimd:     " << util::simd::activeBackendName()
-                  << "\narena:    " << tensor::activeAllocatorName()
                   << "\ncache:    "
                   << (cache::enabled() ? "on" : "off") << "\n\n";
     }
