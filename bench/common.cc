@@ -4,7 +4,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "cache/config.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/threadpool.hh"
@@ -73,8 +72,7 @@ runMetadataJson()
          << "\",\"build_type\":\"" << NSBENCH_BUILD_TYPE
          << "\",\"threads\":" << util::ThreadPool::globalThreads()
          << ",\"simd\":\"" << util::simd::activeBackendName()
-         << "\",\"cache\":" << (cache::enabled() ? "true" : "false")
-         << "}";
+         << "\"}";
     return meta.str();
 }
 

@@ -1,20 +1,21 @@
 /**
  * @file
- * Multi-level memoization: result-cache speedup and score identity.
+ * Result-cache memoization: speedup and score identity.
  *
  * Three parts, two of which gate the exit code:
  *
  *  1. Identity gate — for all seven paper workloads at the serve
- *     presets, scores must be byte-identical with caching off and on
- *     (result cache + symbolic precompute cache, across different
- *     replica counts). Caching is a pure memoization layer: any
- *     difference at all is a correctness bug, so the comparison is
- *     exact double equality, not a tolerance.
+ *     presets, scores must be byte-identical with the result cache
+ *     off and on (across different replica counts). Caching is a
+ *     pure memoization layer: any difference at all is a correctness
+ *     bug, so the comparison is exact double equality, not a
+ *     tolerance.
  *
  *  2. Throughput gate — NVSA (seed-sensitive, CPU-bound) driven with
  *     a Zipf-skewed 16-seed universe at the default skew (s = 1.1)
- *     and batch-equal settings must sustain >= 3x the cache-off
- *     throughput with a hit rate >= 50%.
+ *     must sustain >= 3x the cache-off throughput with a hit rate
+ *     >= 50%. The window starts from an empty cache, so it pays for
+ *     every miss its traffic produces.
  *
  *  3. Sweep — Zipf skew {0.7, 1.1, 1.4} x cache size {tiny, ample},
  *     reporting throughput, hit rate and evictions at every point.
@@ -32,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/config.hh"
 #include "common.hh"
 #include "serve/loadgen.hh"
 #include "serve/presets.hh"
@@ -60,9 +60,8 @@ struct Point
 /**
  * Runs the standard cache subject — NVSA at the serve preset under
  * closed-loop Zipf load over a 16-seed universe — at one operating
- * point. The cache is pre-warmed with every seed in the universe so
- * the measured window reflects steady state, and metrics are reset
- * after the warm-up either way to keep the windows comparable.
+ * point. The replicas are set up before the window; the cache starts
+ * empty.
  */
 Point
 measure(bool cache_on, uint64_t cache_bytes, size_t cache_shards,
@@ -73,7 +72,6 @@ measure(bool cache_on, uint64_t cache_bytes, size_t cache_shards,
     serve::ServerOptions server_options;
     server_options.workloads = {"NVSA"};
     server_options.workers = 2;
-    server_options.maxBatch = 4;
     server_options.factory = serve::serveFactory;
     server_options.resultCache = cache_on;
     server_options.cacheBytes = cache_bytes;
@@ -87,10 +85,6 @@ measure(bool cache_on, uint64_t cache_bytes, size_t cache_shards,
     load_options.zipfExponent = zipf;
 
     serve::Server server(std::move(server_options));
-    for (uint64_t seed = 0; seed < universe; seed++)
-        server.call("NVSA", seed);
-    server.resetMetrics();
-
     serve::LoadgenReport report =
         serve::runLoadgen(server, load_options);
     serve::WorkloadMetrics metrics =
@@ -117,25 +111,23 @@ main(int argc, char **argv)
 {
     workloads::registerAllWorkloads();
     bench::printHeader(
-        "Multi-level memoization: speedup and score identity",
+        "Result-cache memoization: speedup and score identity",
         "runtime extra (Sec. V redundant computation)");
 
     std::ostringstream json;
     json << "{\"bench\":\"scaling_cache\"";
 
     // Part 1: byte-identical scores, cache off vs on, for all seven
-    // workloads at three episode seeds. The off pass runs with both
-    // cache levels disabled on a single replica; the on pass enables
-    // both levels, serves from two replicas, and asks for every seed
-    // twice so both the miss path and the hit path are compared.
+    // workloads at three episode seeds. The off pass runs on a
+    // single replica; the on pass serves from two replicas and asks
+    // for every seed twice so both the miss path and the hit path are
+    // compared.
     const std::vector<uint64_t> seeds = {1, 2, 3};
     std::vector<std::vector<double>> baseline;
-    cache::setEnabled(false);
     {
         serve::ServerOptions off;
         off.workloads = bench::paperOrder();
         off.workers = 1;
-        off.maxBatch = 4;
         off.factory = serve::serveFactory;
         off.resultCache = false;
         serve::Server server(std::move(off));
@@ -151,12 +143,10 @@ main(int argc, char **argv)
     const int total = static_cast<int>(bench::paperOrder().size());
     util::Table identity_table(
         {"workload", "seed 1", "seed 2", "seed 3", "identical"});
-    cache::setEnabled(true);
     {
         serve::ServerOptions on;
         on.workloads = bench::paperOrder();
         on.workers = 2;
-        on.maxBatch = 4;
         on.factory = serve::serveFactory;
         on.resultCache = true;
         serve::Server server(std::move(on));
@@ -178,7 +168,6 @@ main(int argc, char **argv)
                  same ? "yes" : "NO"});
         }
     }
-    cache::resetEnabled();
 
     std::cout << "Score identity, cache off vs on (exact double "
                  "equality, miss and hit paths):\n";
@@ -187,14 +176,10 @@ main(int argc, char **argv)
     json << ",\"identity_pass\":" << identical
          << ",\"identity_total\":" << total;
 
-    // Part 2: the throughput gate at batch-equal settings and the
-    // default skew. Cache off first so the on pass cannot borrow its
-    // precompute state.
-    cache::setEnabled(false);
+    // Part 2: the throughput gate at the default skew, each pass on
+    // a fresh server.
     Point off = measure(false, 64ull << 20, 8, 1.1, 1.5);
-    cache::setEnabled(true);
     Point on = measure(true, 64ull << 20, 8, 1.1, 1.5);
-    cache::resetEnabled();
 
     double speedup =
         off.throughput > 0.0 ? on.throughput / off.throughput : 0.0;
@@ -209,7 +194,7 @@ main(int argc, char **argv)
                        std::to_string(on.completed),
                        std::to_string(on.executions)});
     std::cout << "Throughput gate (NVSA, universe 16, zipf 1.1, "
-                 "max_batch 4, 2 workers):\n";
+                 "2 workers, cold cache):\n";
     gate_table.print(std::cout);
     std::cout << "\nspeedup " << util::fixedStr(speedup, 2)
               << "x (gate >= 3x with hit rate >= 50%): "
@@ -218,6 +203,7 @@ main(int argc, char **argv)
          << ",\"on_rps\":" << on.throughput
          << ",\"speedup\":" << speedup
          << ",\"hit_rate\":" << on.hitRate
+         << ",\"executions\":" << on.executions
          << ",\"pass\":" << (gate_pass ? "true" : "false") << "}";
 
     // Part 3: skew x capacity sweep. The tiny budget (one shard, two
@@ -239,7 +225,6 @@ main(int argc, char **argv)
                              "entries", "evicted"});
     json << ",\"sweep\":[";
     bool first = true;
-    cache::setEnabled(true);
     for (double skew : skews) {
         for (const Capacity &cap : capacities) {
             Point point =
@@ -254,11 +239,11 @@ main(int argc, char **argv)
                  << ",\"cache_bytes\":" << cap.bytes
                  << ",\"rps\":" << point.throughput
                  << ",\"hit_rate\":" << point.hitRate
+                 << ",\"executions\":" << point.executions
                  << ",\"evictions\":" << point.evictions << "}";
             first = false;
         }
     }
-    cache::resetEnabled();
     json << "]}";
 
     std::cout << "Skew x capacity sweep (cache on):\n";

@@ -55,7 +55,6 @@ backendOptions(const std::string &workload)
     serve::ServerOptions options;
     options.workloads = {workload};
     options.workers = 1;
-    options.maxBatch = 1;
     options.factory = serve::serveFactory;
     options.resultCache = true;
     // ~24 entries at the cache's per-entry cost: a third of the seed

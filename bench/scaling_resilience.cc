@@ -77,7 +77,6 @@ measure(double fault_rate)
     serve::ServerOptions server_options;
     server_options.workloads = {"LNN"};
     server_options.workers = 2;
-    server_options.maxBatch = 8;
     server_options.maxRetries = 8;
     server_options.retryBackoffUs = 100;
     server_options.factory = serve::serveFactory;

@@ -15,8 +15,8 @@
  * the hot submit() path from serialising on one mutex.
  */
 
-#ifndef NSBENCH_CACHE_RESULT_CACHE_HH
-#define NSBENCH_CACHE_RESULT_CACHE_HH
+#ifndef NSBENCH_RESULT_CACHE_HH
+#define NSBENCH_RESULT_CACHE_HH
 
 #include <cstdint>
 #include <deque>
@@ -102,4 +102,4 @@ class ResultCache
 
 } // namespace nsbench::cache
 
-#endif // NSBENCH_CACHE_RESULT_CACHE_HH
+#endif // NSBENCH_RESULT_CACHE_HH

@@ -10,8 +10,8 @@
  * in-flight lifetime of a key.
  */
 
-#ifndef NSBENCH_CACHE_SINGLE_FLIGHT_HH
-#define NSBENCH_CACHE_SINGLE_FLIGHT_HH
+#ifndef NSBENCH_SINGLE_FLIGHT_HH
+#define NSBENCH_SINGLE_FLIGHT_HH
 
 #include <cstddef>
 #include <mutex>
@@ -101,4 +101,4 @@ template <typename Waiter> class SingleFlight
 
 } // namespace nsbench::cache
 
-#endif // NSBENCH_CACHE_SINGLE_FLIGHT_HH
+#endif // NSBENCH_SINGLE_FLIGHT_HH

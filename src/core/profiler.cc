@@ -261,20 +261,6 @@ Profiler::recordFree(uint64_t bytes)
     phaseChurn_[phaseIndex(phase)].frees++;
 }
 
-void
-Profiler::recordCachedAlloc(uint64_t bytes)
-{
-    if (!enabled())
-        return;
-    Phase phase = currentPhase();
-    std::lock_guard<std::mutex> lock(mu_);
-    churn_.cachedAllocs++;
-    churn_.cachedBytes += bytes;
-    size_t p = phaseIndex(phase);
-    phaseChurn_[p].cachedAllocs++;
-    phaseChurn_[p].cachedBytes += bytes;
-}
-
 uint64_t
 Profiler::peakBytesIn(Phase phase) const
 {

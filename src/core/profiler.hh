@@ -75,16 +75,13 @@ struct NamedOpStats
 
 /**
  * Tensor-storage allocation churn. Alloc/free counts are physical
- * buffer events; cached* counts precomputed structures reused instead
- * of rebuilt. Byte figures elsewhere in the profiler are logical
+ * buffer events. Byte figures elsewhere in the profiler are logical
  * tensor bytes.
  */
 struct MemChurn
 {
     uint64_t allocs = 0;         ///< Storage buffers acquired.
     uint64_t frees = 0;          ///< Storage buffers released.
-    uint64_t cachedAllocs = 0;   ///< Structures reused from a cache.
-    uint64_t cachedBytes = 0;    ///< Logical bytes of those reuses.
 
     /** Allocations that hit the heap: every one of them. */
     uint64_t freshAllocs() const { return allocs; }
@@ -95,8 +92,6 @@ struct MemChurn
     {
         allocs += other.allocs;
         frees += other.frees;
-        cachedAllocs += other.cachedAllocs;
-        cachedBytes += other.cachedBytes;
     }
 };
 
@@ -207,14 +202,6 @@ class Profiler
 
     /** Notes a tensor deallocation of @p bytes. */
     void recordFree(uint64_t bytes);
-
-    /**
-     * Notes the reuse of @p bytes of precomputed structure served
-     * from a cache instead of being rebuilt. Touches only the churn
-     * counters (cachedAllocs/cachedBytes) — never live or peak bytes,
-     * which describe what THIS run allocated (Fig. 3b stays honest).
-     */
-    void recordCachedAlloc(uint64_t bytes);
 
     /** Live tensor bytes right now. */
     uint64_t

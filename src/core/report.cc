@@ -87,21 +87,17 @@ topOpsTable(const Profiler &profiler, size_t n)
 Table
 memoryTable(const Profiler &profiler)
 {
-    Table table({"phase", "peak-live", "allocated", "allocs",
-                 "cached", "cached-bytes"});
+    Table table({"phase", "peak-live", "allocated", "allocs"});
     for (Phase phase :
          {Phase::Neural, Phase::Symbolic, Phase::Untagged}) {
         uint64_t peak = profiler.peakBytesIn(phase);
         uint64_t alloc = profiler.allocatedBytesIn(phase);
         MemChurn churn = profiler.memChurnIn(phase);
-        if (peak == 0 && alloc == 0 && churn.allocs == 0 &&
-            churn.cachedAllocs == 0)
+        if (peak == 0 && alloc == 0 && churn.allocs == 0)
             continue;
         table.addRow({std::string(phaseName(phase)), humanBytes(peak),
                       humanBytes(alloc),
-                      std::to_string(churn.allocs),
-                      std::to_string(churn.cachedAllocs),
-                      humanBytes(churn.cachedBytes)});
+                      std::to_string(churn.allocs)});
     }
     return table;
 }

@@ -63,9 +63,8 @@ util::Table topOpsTable(const Profiler &profiler, size_t n);
 
 /**
  * Memory peaks, allocation volume, and allocation churn per phase
- * (Fig. 3b). Peak/allocated are logical tensor bytes; the churn
- * columns count storage buffers acquired and structures reused from
- * the precompute cache.
+ * (Fig. 3b). Peak/allocated are logical tensor bytes; the allocs
+ * column counts storage buffers acquired.
  */
 util::Table memoryTable(const Profiler &profiler);
 

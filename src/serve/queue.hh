@@ -4,7 +4,7 @@
  *
  * A mutex-and-condvar ring with a hard capacity. Admission control
  * builds on tryPush (full queue -> reject, never block the client);
- * the workers build on the blocking pop family. close() starts a
+ * the workers build on the blocking pop. close() starts a
  * graceful drain: pushes fail immediately, pops keep returning queued
  * items until the queue is empty and only then report exhaustion, so
  * nothing admitted is ever dropped.
@@ -100,24 +100,6 @@ class BoundedQueue
         std::unique_lock<std::mutex> lock(mu_);
         canPop_.wait(lock,
                      [&] { return closed_ || !items_.empty(); });
-        return takeLocked(lock);
-    }
-
-    /**
-     * Dequeues, blocking until an item arrives or @p deadline passes.
-     * Returns nullopt on timeout and when closed-and-drained; use
-     * drained() to tell the two apart.
-     */
-    std::optional<T>
-    popUntil(TimePoint deadline)
-    {
-        injectStall();
-        std::unique_lock<std::mutex> lock(mu_);
-        canPop_.wait_until(lock, deadline, [&] {
-            return closed_ || !items_.empty();
-        });
-        if (items_.empty())
-            return std::nullopt;
         return takeLocked(lock);
     }
 

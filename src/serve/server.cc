@@ -23,6 +23,9 @@ namespace
 
 namespace fp = util::failpoints;
 
+/** Most requests one stage-pipelined group takes. */
+constexpr size_t kMaxPipelinedGroup = 8;
+
 /** Default replica factory: the process-global workload registry. */
 std::unique_ptr<core::Workload>
 registryFactory(const std::string &name)
@@ -365,13 +368,13 @@ Server::dispatch(std::map<std::string, Replica> &replicas,
     // and extra stage threads would perturb the fault schedule.
     std::vector<Request> group;
     group.push_back(std::move(first));
-    if (options_.pipelineDepth > 0 && options_.maxBatch > 1 &&
+    if (options_.pipelineDepth > 0 &&
         replica.workload->stageCount() > 1 && !fp::armed())
         admission_.tryPopWhile(
             [&](const Request &next) {
                 return next.workload == workload;
             },
-            static_cast<size_t>(options_.maxBatch) - 1, &group);
+            kMaxPipelinedGroup - 1, &group);
     const int batchSize = static_cast<int>(group.size());
     metrics_.recordBatch(workload, group.size());
 

@@ -58,9 +58,6 @@ struct ServerOptions
     /** Workloads this server hosts (replica of each per worker). */
     std::vector<std::string> workloads;
     int workers = 2;              ///< Worker threads (replica sets).
-    /** Most requests one stage-pipelined group takes (see
-     *  pipelineDepth); 1 never groups. */
-    int maxBatch = 8;
     size_t queueCapacity = 256;   ///< Admission queue bound.
     uint64_t modelSeed = 42;      ///< setUp seed for every replica.
     bool profilePhases = true;    ///< Collect the neural/symbolic split.
@@ -71,8 +68,8 @@ struct ServerOptions
      * scores are pure in (model seed, episode seed) — the determinism
      * contract above. Concurrent duplicates are merged by
      * single-flight whether or not this is on. Off by default so a
-     * server's execution count follows its traffic; the CLI/bench
-     * layer opts in via NSBENCH_CACHE/--cache.
+     * server's execution count follows its traffic; the CLI opts in
+     * with --cache on.
      */
     bool resultCache = false;
     uint64_t cacheBytes = 64ull << 20; ///< Result-cache byte budget.
@@ -125,7 +122,7 @@ struct ServerOptions
      * Intra-replica stage pipelining (opt-in, 0 = off). When a worker
      * pops a request for a staged workload (stageCount() > 1), it
      * also takes the requests for that workload waiting at the head
-     * of the admission queue, up to maxBatch, and runs the group
+     * of the admission queue, up to 8 in all, and runs the group
      * through exec::runPipelined with this inter-stage queue depth
      * instead of back-to-back run() calls, overlapping execution i's
      * symbolic stage with execution i+1's neural stage. Other

@@ -133,10 +133,9 @@ knownSites()
         sites::kQueueTryPush,      sites::kQueuePop,
         sites::kAdmissionShed,     sites::kWorkerRun,
         sites::kWorkerCrash,       sites::kCallback,
-        sites::kResultInsert,      sites::kPrecomputeBuild,
-        sites::kNetAccept,         sites::kNetRead,
-        sites::kNetWrite,          sites::kNetBackendConnect,
-        sites::kWorkerDelay,
+        sites::kResultInsert,      sites::kNetAccept,
+        sites::kNetRead,           sites::kNetWrite,
+        sites::kNetBackendConnect, sites::kWorkerDelay,
     };
     return names;
 }

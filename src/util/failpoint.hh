@@ -54,7 +54,7 @@ namespace sites
 {
 /** BoundedQueue::tryPush reports a transient full queue. */
 inline constexpr const char *kQueueTryPush = "serve.queue.trypush";
-/** BoundedQueue::pop/popUntil stalls briefly before dequeuing. */
+/** BoundedQueue::pop stalls briefly before dequeuing. */
 inline constexpr const char *kQueuePop = "serve.queue.pop";
 /** Server::submit sheds the request as overload (RejectedOverload). */
 inline constexpr const char *kAdmissionShed = "serve.admission.shed";
@@ -66,8 +66,6 @@ inline constexpr const char *kWorkerCrash = "serve.worker.crash";
 inline constexpr const char *kCallback = "serve.callback";
 /** ResultCache::insert drops the entry (next lookup misses). */
 inline constexpr const char *kResultInsert = "cache.result.insert";
-/** PrecomputeCache builder throws (build-retry path). */
-inline constexpr const char *kPrecomputeBuild = "cache.precompute.build";
 /** TCP front end drops a freshly accepted connection. */
 inline constexpr const char *kNetAccept = "net.accept";
 /** TCP front end treats a socket read as failed (connection closes). */

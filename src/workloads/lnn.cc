@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "logic/grounding.hh"
 #include "tensor/fused.hh"
@@ -26,7 +25,6 @@ using tensor::Tensor;
 void
 LnnWorkload::setUp(uint64_t seed)
 {
-    seed_ = seed;
     university_ = std::make_unique<data::UniversityKb>(
         data::makeUniversityKb(config_.departments,
                                config_.professorsPerDept,
@@ -47,49 +45,22 @@ LnnWorkload::storageBytes() const
     return university_ ? university_->kb.factBytes() : 0;
 }
 
-std::string
-LnnWorkload::groundingKey() const
-{
-    // The grounded index is pure in the KB, which is pure in the
-    // generator knobs and the model seed.
-    return "lnn/grounded/d" + std::to_string(config_.departments) +
-           "/p" + std::to_string(config_.professorsPerDept) + "/s" +
-           std::to_string(config_.studentsPerDept) + "/c" +
-           std::to_string(config_.coursesPerProf) + "/m" +
-           std::to_string(seed_);
-}
-
 LnnWorkload::GroundState
 LnnWorkload::groundKb()
 {
     // ---- Symbolic: grounding. Saturate to enumerate candidate
     // atoms, then ground every rule into formula-graph instances.
-    // Memoized: the index is immutable and pure in the model seed,
-    // so with the precompute cache on, replicas and repeat runs
-    // share one build.
     GroundState gs;
     {
         PhaseScope symbolic(Phase::Symbolic, "lnn/grounding");
-        gs.handle =
-            cache::PrecomputeCache::global()
-                .getOrBuild<logic::GroundedIndex>(
-                    groundingKey(), [this]() {
-                        cache::Sized<logic::GroundedIndex> out;
-                        out.value =
-                            std::make_shared<logic::GroundedIndex>(
-                                logic::buildGroundedIndex(
-                                    university_->kb));
-                        out.bytes = out.value->graphBytes();
-                        return out;
-                    });
+        gs.index = logic::buildGroundedIndex(university_->kb);
     }
-    // Per-run mutable neuron state; the shared index stays const.
-    gs.bounds = gs.handle->initialBounds;
+    // Per-run mutable neuron state; the index stays const.
+    gs.bounds = gs.index.initialBounds;
 
     // Account the grounded formula graph as symbolic working-set
-    // memory (it is the LNN's intermediate state) — on hits as well
-    // as builds, so logical peaks match the uncached run exactly.
-    gs.graphBytes = gs.handle->graphBytes();
+    // memory (it is the LNN's intermediate state).
+    gs.graphBytes = gs.index.graphBytes();
     {
         PhaseScope symbolic(Phase::Symbolic, "lnn/grounding");
         core::globalProfiler().recordAlloc(gs.graphBytes);
@@ -100,7 +71,7 @@ LnnWorkload::groundKb()
 double
 LnnWorkload::inferAndScore(GroundState &gs)
 {
-    const logic::GroundedIndex &g = *gs.handle;
+    const logic::GroundedIndex &g = gs.index;
     std::vector<TruthBounds> &bounds = gs.bounds;
     uint64_t graph_bytes = gs.graphBytes;
 

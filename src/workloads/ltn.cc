@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "logic/fuzzy.hh"
 #include "tensor/fused.hh"
@@ -71,10 +70,10 @@ reichenbachImplies(Tensor &out, const Tensor &a, const Tensor &b)
  * its class statistics, all off one RNG stream seeded with the model
  * seed. Pure in (config, seed).
  */
-std::shared_ptr<const LtnModel>
+std::unique_ptr<const LtnModel>
 buildLtnModel(const LtnConfig &config, uint64_t seed)
 {
-    auto model = std::make_shared<LtnModel>();
+    auto model = std::make_unique<LtnModel>();
     util::Rng rng(seed);
     model->dataset = data::makeRelationalDataset(
         config.people, config.featureDim, config.friendsPerPerson,
@@ -122,40 +121,10 @@ buildLtnModel(const LtnConfig &config, uint64_t seed)
 
 } // namespace
 
-uint64_t
-LtnModel::bytes() const
-{
-    uint64_t total = 0;
-    for (const Tensor *t :
-         {&dataset.features, &friends, &smokesW1, &smokesW2,
-          &smokesW3, &cancerW1, &cancerW2, &cancerW3}) {
-        if (!t->empty())
-            total += t->bytes();
-    }
-    return total;
-}
-
 void
 LtnWorkload::setUp(uint64_t seed)
 {
-    // The dataset and weights share one RNG stream, so the bundle is
-    // memoized whole, keyed on every knob the stream touches.
-    LtnConfig config = config_;
-    model_ =
-        cache::PrecomputeCache::global()
-            .getOrBuild<LtnModel>(
-                "ltn/model/p" + std::to_string(config.people) +
-                    "/f" + std::to_string(config.featureDim) + "/h" +
-                    std::to_string(config.hidden) + "/k" +
-                    std::to_string(config.friendsPerPerson) + "/s" +
-                    std::to_string(seed),
-                [&config, seed]() {
-                    cache::Sized<LtnModel> out;
-                    out.value = buildLtnModel(config, seed);
-                    out.bytes = out.value->bytes();
-                    return out;
-                })
-            .value;
+    model_ = buildLtnModel(config_, seed);
 }
 
 uint64_t

@@ -41,9 +41,8 @@ struct LtnConfig
  * dataset, the friendship indicator matrix, and the constructed
  * predicate-MLP weights. The dataset sampler and the weight
  * initializer consume a single RNG stream, so the pieces are only
- * reproducible together — the bundle is cached whole, pure in
- * (config, model seed), and shared read-only across replicas via the
- * precompute cache.
+ * reproducible together: the bundle is built whole, pure in
+ * (config, model seed).
  */
 struct LtnModel
 {
@@ -51,9 +50,6 @@ struct LtnModel
     tensor::Tensor friends;
     tensor::Tensor smokesW1, smokesW2, smokesW3;
     tensor::Tensor cancerW1, cancerW2, cancerW3;
-
-    /** Resident bytes of the tensors in the bundle. */
-    uint64_t bytes() const;
 };
 
 /**
@@ -94,8 +90,8 @@ class LtnWorkload : public core::Workload
 
   private:
     LtnConfig config_;
-    /** Shared immutable model bundle (possibly cache-served). */
-    std::shared_ptr<const LtnModel> model_;
+    /** Immutable model bundle. */
+    std::unique_ptr<const LtnModel> model_;
 
     /** One query's predicate groundings, carried between stages. */
     struct QueryGrounding

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "tensor/ops.hh"
 #include "util/logging.hh"
@@ -120,16 +119,9 @@ applyMlp(const Tensor &wired, const Tensor &weight, const Tensor &bias)
 
 } // namespace
 
-uint64_t
-NlmBasePredicates::bytes() const
-{
-    return unary.bytes() + binary.bytes();
-}
-
 void
 NlmWorkload::setUp(uint64_t seed)
 {
-    seed_ = seed;
     util::Rng rng(seed);
     graphs_.clear();
     for (int e = 0; e < config_.episodes; e++) {
@@ -137,33 +129,10 @@ NlmWorkload::setUp(uint64_t seed)
             config_.generations, config_.peoplePerGeneration, rng));
     }
 
-    // Memoize each graph's base predicate tensors. The conversion is
-    // pure in the graph (itself pure in config, seed, and episode
-    // index) and uninstrumented, so cache-serving it changes neither
-    // scores nor the profiled operator stream.
+    // Each graph's base predicate tensors, built once per model.
     bases_.clear();
-    for (size_t i = 0; i < graphs_.size(); i++) {
-        const data::FamilyGraph &graph = graphs_[i];
-        std::string key =
-            "nlm/base/g" + std::to_string(config_.generations) +
-            "/p" + std::to_string(config_.peoplePerGeneration) +
-            "/s" + std::to_string(seed) + "/i" + std::to_string(i);
-        bases_.push_back(
-            cache::PrecomputeCache::global()
-                .getOrBuild<NlmBasePredicates>(
-                    key,
-                    [&graph]() {
-                        cache::Sized<NlmBasePredicates> out;
-                        auto base =
-                            std::make_shared<NlmBasePredicates>();
-                        base->unary = graph.unaryTensor();
-                        base->binary = graph.binaryTensor();
-                        out.value = std::move(base);
-                        out.bytes = out.value->bytes();
-                        return out;
-                    })
-                .value);
-    }
+    for (const data::FamilyGraph &graph : graphs_)
+        bases_.push_back({graph.unaryTensor(), graph.binaryTensor()});
 
     // ---- Constructed program weights (trained stand-in).
     layers_.assign(2, LayerWeights{});
@@ -320,7 +289,7 @@ NlmWorkload::run()
     util::panicIf(graphs_.empty(), "NLM: setUp() not called");
     double total = 0.0;
     for (size_t i = 0; i < graphs_.size(); i++)
-        total += evaluateGraph(graphs_[i], *bases_[i]);
+        total += evaluateGraph(graphs_[i], bases_[i]);
     return total / static_cast<double>(graphs_.size());
 }
 
@@ -345,9 +314,9 @@ NlmWorkload::runStage(int stage, core::EpisodeState &state)
         auto scratch = std::make_shared<EpisodeScratch>();
         scratch->binaries.reserve(graphs_.size());
         for (size_t i = 0; i < graphs_.size(); i++) {
-            Tensor binary = baseBinary(*bases_[i]);
+            Tensor binary = baseBinary(bases_[i]);
             scratch->binaries.push_back(evaluateLayer(
-                bases_[i]->unary, binary, layers_[0]));
+                bases_[i].unary, binary, layers_[0]));
         }
         state.scratch = std::move(scratch);
         return;
@@ -357,7 +326,7 @@ NlmWorkload::runStage(int stage, core::EpisodeState &state)
     double total = 0.0;
     for (size_t i = 0; i < graphs_.size(); i++) {
         Tensor binary = evaluateLayer(
-            bases_[i]->unary, scratch->binaries[i], layers_[1]);
+            bases_[i].unary, scratch->binaries[i], layers_[1]);
         total += scoreGraph(graphs_[i], binary);
     }
     state.scratch.reset();

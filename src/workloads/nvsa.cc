@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "core/sparsity.hh"
 #include "tensor/fused.hh"
@@ -63,10 +62,10 @@ namespace
 {
 
 /** Builds the full codebook bundle from its own RNG stream. */
-std::shared_ptr<const NvsaCodebooks>
+std::unique_ptr<const NvsaCodebooks>
 buildCodebooks(const NvsaConfig &config, uint64_t seed)
 {
-    auto books = std::make_shared<NvsaCodebooks>();
+    auto books = std::make_unique<NvsaCodebooks>();
     util::Rng rng(seed ^ 0x5678);
     for (AttributeId attr : data::allAttributes) {
         int domain = data::attributeDomain(attr, config.grid);
@@ -120,21 +119,6 @@ buildCodebooks(const NvsaConfig &config, uint64_t seed)
 
 } // namespace
 
-uint64_t
-NvsaCodebooks::bytes() const
-{
-    uint64_t total = 0;
-    for (const auto &book : attributeBooks)
-        total += book->bytes();
-    for (const auto &base : bases)
-        total += base.bytes();
-    if (comboBook)
-        total += comboBook->bytes();
-    if (quantizedCombo)
-        total += quantizedCombo->bytes();
-    return total;
-}
-
 void
 NvsaWorkload::setUp(uint64_t seed)
 {
@@ -147,25 +131,8 @@ NvsaWorkload::setUp(uint64_t seed)
                                                     seed ^ 0x1234);
 
     // The codebook bundle draws from its own RNG stream (seed ^
-    // 0x5678), so serving it from the precompute cache leaves the
-    // generator and perception streams — and therefore every score —
-    // bit-identical to a fresh build.
-    std::string key =
-        "nvsa/books/g" + std::to_string(config_.grid) + "/d" +
-        std::to_string(config_.hvDim) + "/q" +
-        std::to_string(config_.quantizedComboBook ? 1 : 0) + "/s" +
-        std::to_string(seed);
-    NvsaConfig config = config_;
-    books_ = cache::PrecomputeCache::global()
-                 .getOrBuild<NvsaCodebooks>(
-                     key,
-                     [&config, seed]() {
-                         cache::Sized<NvsaCodebooks> out;
-                         out.value = buildCodebooks(config, seed);
-                         out.bytes = out.value->bytes();
-                         return out;
-                     })
-                 .value;
+    // 0x5678), independent of the generator and perception streams.
+    books_ = buildCodebooks(config_, seed);
 }
 
 void

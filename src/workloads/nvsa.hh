@@ -45,8 +45,7 @@ struct NvsaConfig
  * per-attribute fractional-power codebooks, their convolution bases,
  * and the (type x size x color) combination codebook. Pure in
  * (config, model seed) — the codebook RNG stream is independent of
- * the puzzle and perception streams — so one bundle is shareable
- * read-only across replicas and runs via the precompute cache.
+ * the puzzle and perception streams.
  */
 struct NvsaCodebooks
 {
@@ -58,9 +57,6 @@ struct NvsaCodebooks
     std::unique_ptr<vsa::Codebook> comboBook;
     /** Optional INT8 mirror of the combination codebook. */
     std::unique_ptr<vsa::QuantizedCodebook> quantizedCombo;
-
-    /** Resident bytes of every codebook and base. */
-    uint64_t bytes() const;
 };
 
 /**
@@ -103,8 +99,8 @@ class NvsaWorkload : public core::Workload
     NvsaConfig config_;
     std::unique_ptr<data::RavenGenerator> generator_;
     std::unique_ptr<RavenPerception> perception_;
-    /** Shared immutable codebook bundle (possibly cache-served). */
-    std::shared_ptr<const NvsaCodebooks> books_;
+    /** Immutable codebook bundle. */
+    std::unique_ptr<const NvsaCodebooks> books_;
 
     /**
      * Perception output for one puzzle: the neural stage's product,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "core/sparsity.hh"
 #include "tensor/ops.hh"
@@ -24,10 +23,10 @@ namespace
 {
 
 /** Enumerates the full rule tables for one grid size. */
-std::shared_ptr<const PraeRuleTables>
+std::unique_ptr<const PraeRuleTables>
 buildRuleTables(int grid)
 {
-    auto tables = std::make_shared<PraeRuleTables>();
+    auto tables = std::make_unique<PraeRuleTables>();
     for (size_t a = 0; a < data::numAttributes; a++) {
         int domain =
             data::attributeDomain(data::allAttributes[a], grid);
@@ -53,18 +52,6 @@ buildRuleTables(int grid)
 
 } // namespace
 
-uint64_t
-PraeRuleTables::bytes() const
-{
-    uint64_t total = 0;
-    for (const auto &table : tables) {
-        total += table.rules.size() * sizeof(data::AttributeRule);
-        for (const auto &map : table.apply)
-            total += map.size() * sizeof(int);
-    }
-    return total;
-}
-
 void
 PraeWorkload::setUp(uint64_t seed)
 {
@@ -74,20 +61,8 @@ PraeWorkload::setUp(uint64_t seed)
                                                     seed ^ 0x9999);
 
     // Pre-compute the rule tables the abduction engine enumerates.
-    // They depend on the grid alone — no seed — so every replica at
-    // the same grid shares one memoized copy when the cache is on.
-    int grid = config_.grid;
-    ruleTables_ =
-        cache::PrecomputeCache::global()
-            .getOrBuild<PraeRuleTables>(
-                "prae/tables/g" + std::to_string(grid),
-                [grid]() {
-                    cache::Sized<PraeRuleTables> out;
-                    out.value = buildRuleTables(grid);
-                    out.bytes = out.value->bytes();
-                    return out;
-                })
-            .value;
+    // They depend on the grid alone; no seed enters them.
+    ruleTables_ = buildRuleTables(config_.grid);
 }
 
 void

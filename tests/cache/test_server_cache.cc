@@ -14,10 +14,7 @@
 #include <mutex>
 #include <vector>
 
-#include "cache/config.hh"
-#include "serve/presets.hh"
 #include "serve/server.hh"
-#include "workloads/register.hh"
 
 #include "../serve/fake_workload.hh"
 
@@ -34,7 +31,6 @@ cachedFake(FakeCounters &counters, bool seed_sensitive)
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.maxBatch = 4;
     options.profilePhases = false;
     options.resultCache = true;
     options.factory = [&counters,
@@ -176,36 +172,6 @@ TEST(CacheServer, ScoresAreIdenticalCacheOnAndOffAcrossReplicas)
     ASSERT_EQ(uncached.size(), cached.size());
     for (size_t i = 0; i < uncached.size(); i++)
         EXPECT_EQ(uncached[i], cached[i]);
-}
-
-TEST(CacheServer, RealWorkloadScoresSurvivePrecomputeCaching)
-{
-    // LTN's whole model bundle is memoized when caching is on; its
-    // serve-preset score must stay bit-identical either way.
-    workloads::registerAllWorkloads();
-    cache::setEnabled(false);
-    double baseline;
-    {
-        serve::ServerOptions options;
-        options.workloads = {"LTN"};
-        options.workers = 1;
-        options.factory = serve::serveFactory;
-        serve::Server server(std::move(options));
-        baseline = server.call("LTN", 3).score;
-    }
-
-    cache::setEnabled(true);
-    {
-        serve::ServerOptions options;
-        options.workloads = {"LTN"};
-        options.workers = 2;
-        options.resultCache = true;
-        options.factory = serve::serveFactory;
-        serve::Server server(std::move(options));
-        EXPECT_EQ(server.call("LTN", 3).score, baseline);
-        EXPECT_EQ(server.call("LTN", 4).score, baseline);
-    }
-    cache::resetEnabled();
 }
 
 } // namespace

@@ -82,7 +82,6 @@ class Chaos : public ::testing::Test
         serve::ServerOptions options;
         options.workloads = {"Fake"};
         options.workers = 2;
-        options.maxBatch = 4;
         options.factory = [&counters, seed_sensitive](
                               const std::string &) {
             return std::make_unique<tests::FakeWorkload>(
@@ -396,7 +395,6 @@ TEST_F(Chaos, FaultedServerScoresMatchFaultFreeScores)
         serve::ServerOptions options;
         options.workloads = {"LNN"};
         options.workers = 2;
-        options.maxBatch = 4;
         options.maxRetries = 8;
         options.factory = serve::serveFactory;
         serve::Server server(std::move(options));
@@ -437,7 +435,6 @@ TEST_F(Chaos, PipelinedServerKeepsInvariantsUnderFaults)
         serve::ServerOptions options;
         options.workloads = {"Gate", "NVSA"};
         options.workers = 1;
-        options.maxBatch = 8;
         options.maxRetries = 8;
         options.pipelineDepth = depth;
         options.factory = [&counters](const std::string &name)

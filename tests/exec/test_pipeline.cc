@@ -261,7 +261,6 @@ TEST(Pipeline, ServerPipelineModeIsByteIdentical)
         serve::ServerOptions options;
         options.workloads = {"Gate", "NVSA"};
         options.workers = 1;
-        options.maxBatch = 8;
         options.pipelineDepth = pipelineDepth;
         options.factory = [&counters](const std::string &name)
             -> std::unique_ptr<core::Workload> {

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/config.hh"
 #include "core/profiler.hh"
 #include "core/taxonomy.hh"
 #include "core/workload.hh"
@@ -223,9 +222,6 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--update-golden") == 0)
             gUpdateGolden = true;
     }
-    // Goldens lock the exact operator stream of an uncached run;
-    // keep them anchored regardless of the NSBENCH_CACHE setting.
-    nsbench::cache::setEnabled(false);
     nsbench::workloads::registerAllWorkloads();
     return RUN_ALL_TESTS();
 }

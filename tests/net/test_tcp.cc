@@ -51,7 +51,6 @@ serverOptions(const std::vector<std::string> &workloads,
     serve::ServerOptions options;
     options.workloads = workloads;
     options.workers = 2;
-    options.maxBatch = 4;
     options.resultCache = result_cache;
     options.factory = serve::serveFactory;
     return options;

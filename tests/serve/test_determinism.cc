@@ -4,8 +4,8 @@
  *
  * The serving determinism contract: a request with a fixed seed
  * returns the same score no matter how it was served — one replica
- * or many, batch size 1 or 8, result cache on or off, whatever the
- * arrival order. These tests drive real (serve-preset) workloads
+ * or many, serial or stage-pipelined, result cache on or off,
+ * whatever the arrival order. These tests drive real (serve-preset) workloads
  * through servers at those extremes and require byte-identical
  * scores, including against a direct un-served execution.
  */
@@ -39,15 +39,12 @@ class ServeDeterminism : public ::testing::Test
 
     static serve::ServerOptions
     serverOptions(const std::string &workload, int workers,
-                  int max_batch, bool cache)
+                  int pipeline_depth, bool cache)
     {
         serve::ServerOptions options;
         options.workloads = {workload};
         options.workers = workers;
-        // max_batch only groups requests for the stage pipeline, so
-        // turn it on wherever a group can form.
-        options.maxBatch = max_batch;
-        options.pipelineDepth = max_batch > 1 ? 2 : 0;
+        options.pipelineDepth = pipeline_depth;
         options.resultCache = cache;
         options.factory = serve::serveFactory;
         return options;
@@ -90,8 +87,8 @@ class ServeDeterminism : public ::testing::Test
 TEST_F(ServeDeterminism, ReplicaCountDoesNotChangeScores)
 {
     const std::vector<uint64_t> seeds = {1, 2, 3, 4, 1, 2, 3, 4};
-    auto one = scoresVia(serverOptions("ZeroC", 1, 1, false), seeds);
-    auto many = scoresVia(serverOptions("ZeroC", 3, 1, false), seeds);
+    auto one = scoresVia(serverOptions("ZeroC", 1, 0, false), seeds);
+    auto many = scoresVia(serverOptions("ZeroC", 3, 0, false), seeds);
     EXPECT_EQ(one, many);
 }
 
@@ -99,13 +96,13 @@ TEST_F(ServeDeterminism, BatchSizeAndCoalescingDoNotChangeScores)
 {
     const std::vector<uint64_t> seeds = {5, 6, 5, 6, 5, 6, 5, 6};
     auto unbatched =
-        scoresVia(serverOptions("ZeroC", 1, 1, false), seeds);
+        scoresVia(serverOptions("ZeroC", 1, 0, false), seeds);
     auto unbatchedCached =
-        scoresVia(serverOptions("ZeroC", 1, 1, true), seeds);
+        scoresVia(serverOptions("ZeroC", 1, 0, true), seeds);
     auto batched =
-        scoresVia(serverOptions("ZeroC", 2, 8, false), seeds);
+        scoresVia(serverOptions("ZeroC", 2, 2, false), seeds);
     auto batchedCached =
-        scoresVia(serverOptions("ZeroC", 2, 8, true), seeds);
+        scoresVia(serverOptions("ZeroC", 2, 2, true), seeds);
     EXPECT_EQ(unbatched, unbatchedCached);
     EXPECT_EQ(unbatched, batched);
     EXPECT_EQ(unbatched, batchedCached);
@@ -115,7 +112,7 @@ TEST_F(ServeDeterminism, ArrivalOrderDoesNotChangeScores)
 {
     std::vector<uint64_t> forward = {1, 2, 3, 4, 5, 6};
     std::vector<uint64_t> reverse(forward.rbegin(), forward.rend());
-    auto options = serverOptions("ZeroC", 2, 4, false);
+    auto options = serverOptions("ZeroC", 2, 2, false);
     auto a = scoresVia(options, forward);
     auto b = scoresVia(options, reverse);
     EXPECT_EQ(a, b);
@@ -124,7 +121,7 @@ TEST_F(ServeDeterminism, ArrivalOrderDoesNotChangeScores)
 TEST_F(ServeDeterminism, ServedScoresMatchDirectExecution)
 {
     auto served =
-        scoresVia(serverOptions("ZeroC", 2, 4, false), {7, 8, 9});
+        scoresVia(serverOptions("ZeroC", 2, 2, false), {7, 8, 9});
 
     // The same replica build, run without the server: one setUp at
     // the server's model seed, then reseed-and-run per request seed.
@@ -142,7 +139,7 @@ TEST_F(ServeDeterminism, ServedScoresMatchDirectExecution)
 TEST_F(ServeDeterminism, SeedInsensitiveWorkloadScoresAreSeedFree)
 {
     auto scores =
-        scoresVia(serverOptions("LNN", 2, 8, false), {1, 2, 3, 4});
+        scoresVia(serverOptions("LNN", 2, 2, false), {1, 2, 3, 4});
     for (const auto &[seed, score] : scores)
         EXPECT_EQ(score, scores.begin()->second);
 
@@ -155,7 +152,7 @@ TEST_F(ServeDeterminism, SeedInsensitiveWorkloadScoresAreSeedFree)
 
 TEST_F(ServeDeterminism, PhaseSplitIsReportedPerRequest)
 {
-    serve::Server server(serverOptions("LNN", 1, 1, false));
+    serve::Server server(serverOptions("LNN", 1, 0, false));
     serve::Response response = server.call("LNN", 1);
     ASSERT_EQ(response.status, serve::RequestStatus::Ok);
     EXPECT_GT(response.neuralSeconds + response.symbolicSeconds, 0.0);

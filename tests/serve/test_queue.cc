@@ -106,17 +106,6 @@ TEST(ServeQueue, PushUnblocksWhenSpaceFrees)
     EXPECT_EQ(*queue.pop(), 2);
 }
 
-TEST(ServeQueue, PopUntilTimesOutOnEmptyQueue)
-{
-    BoundedQueue<int> queue(4);
-    auto deadline = serve::ServeClock::now() +
-                    std::chrono::milliseconds(10);
-    auto item = queue.popUntil(deadline);
-    EXPECT_FALSE(item.has_value());
-    EXPECT_FALSE(queue.drained());
-    EXPECT_GE(serve::ServeClock::now(), deadline);
-}
-
 TEST(ServeQueue, ConcurrentProducersConsumersDeliverEverything)
 {
     constexpr int kProducers = 4;

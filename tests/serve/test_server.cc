@@ -34,7 +34,6 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.maxBatch = 4;
     options.profilePhases = false;
     options.factory = [&counters, seed_sensitive,
                        sleep_ms](const std::string &) {
@@ -163,7 +162,6 @@ TEST(ServeServer, BackpressureRejectsWhenQueueFills)
     FakeCounters counters;
     auto options = fakeOptions(counters, true, 50);
     options.queueCapacity = 2;
-    options.maxBatch = 1;
     serve::Server server(std::move(options));
 
     // Saturate the single slow worker, then overfill the queue.
@@ -257,7 +255,6 @@ TEST(ServeServer, CacheOffMergesOnlyConcurrentDuplicates)
 {
     FakeCounters counters;
     auto options = fakeOptions(counters, true);
-    options.maxBatch = 8;
     serve::Server server(std::move(options));
     ASSERT_EQ(server.resultCache(), nullptr);
 
@@ -399,7 +396,6 @@ TEST(ServeServer, OfferedLoadCountsRejectionsSeparately)
     FakeCounters counters;
     auto options = fakeOptions(counters, true, 50);
     options.queueCapacity = 2;
-    options.maxBatch = 1;
     serve::Server server(std::move(options));
 
     std::atomic<int> completions{0};

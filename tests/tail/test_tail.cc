@@ -302,7 +302,6 @@ singleWorkerOptions()
     serve::ServerOptions options;
     options.workloads = {"LNN"};
     options.workers = 1;
-    options.maxBatch = 1;
     options.resultCache = false;
     options.factory = serve::serveFactory;
     return options;
@@ -632,7 +631,6 @@ TEST_F(Tail, HedgeCoversADelayedBackendByteIdentically)
         serve::ServerOptions options;
         options.workloads = {"LNN"};
         options.workers = 2;
-        options.maxBatch = 1;
         options.resultCache = false;
         if (slow)
             options.factory = [](const std::string &name) {

@@ -8,10 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/profiler.hh"
 #include "core/report.hh"
 #include "core/workload.hh"
+#include "util/threadpool.hh"
 #include "workloads/lnn.hh"
 #include "workloads/ltn.hh"
 #include "workloads/nlm.hh"
@@ -252,6 +258,62 @@ TEST(Workloads, DeterministicScoresAcrossInstances)
         a->setUp(99);
         b->setUp(99);
         EXPECT_DOUBLE_EQ(a->run(), b->run()) << name;
+    }
+}
+
+/** (calls, FLOPs) per (op name, phase) of one run() at @p seed. */
+std::map<std::pair<std::string, Phase>, std::pair<uint64_t, double>>
+opStream(core::Workload &workload, uint64_t seed)
+{
+    core::Profiler prof;
+    {
+        // Inline kernels so every op lands on this thread's target.
+        util::ThreadPool::SerialScope serial;
+        core::Profiler::ThreadTargetScope target(prof);
+        workload.reseedEpisodes(seed);
+        workload.run();
+    }
+    std::map<std::pair<std::string, Phase>, std::pair<uint64_t, double>>
+        stream;
+    for (const core::NamedOpStats &op : prof.opsByTime()) {
+        auto &entry = stream[{op.name, op.phase}];
+        entry.first += op.stats.invocations;
+        entry.second += op.stats.flops;
+    }
+    return stream;
+}
+
+TEST(Workloads, WarmRunsRecordTheSameOperatorStream)
+{
+    // A warm replica must report the operator stream the paper
+    // characterizes on every run: the second run() after one setUp()
+    // repeats every op of the first (LNN's grounding included), with
+    // the same call counts and FLOPs.
+    NvsaConfig nvsa;
+    nvsa.hvDim = 256;
+    nvsa.episodes = 1;
+    PraeConfig prae;
+    prae.episodes = 1;
+    std::vector<std::pair<std::string, std::unique_ptr<core::Workload>>>
+        subjects;
+    subjects.emplace_back("LNN", std::make_unique<LnnWorkload>());
+    subjects.emplace_back("LTN", std::make_unique<LtnWorkload>());
+    subjects.emplace_back("NLM", std::make_unique<NlmWorkload>());
+    subjects.emplace_back("NVSA", std::make_unique<NvsaWorkload>(nvsa));
+    subjects.emplace_back("PrAE", std::make_unique<PraeWorkload>(prae));
+    for (auto &[name, workload] : subjects) {
+        workload->setUp(5);
+        auto first = opStream(*workload, 9);
+        auto second = opStream(*workload, 9);
+        EXPECT_FALSE(first.empty()) << name;
+        EXPECT_EQ(first, second) << name;
+        if (name == "LNN") {
+            EXPECT_GT((second[{"rule_ground", Phase::Symbolic}].first),
+                      0u);
+            EXPECT_GT(
+                (second[{"formula_grounding", Phase::Symbolic}].first),
+                0u);
+        }
     }
 }
 

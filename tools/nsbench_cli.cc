@@ -32,11 +32,6 @@
  *                  NSBENCH_THREADS env var, else hardware concurrency)
  *   --simd MODE    kernel backend: "scalar", "avx2" or "auto"
  *                  (default: NSBENCH_SIMD env var, else CPUID)
- *   --cache MODE   memoization: "on" enables the seed-invariant
- *                  precompute cache (and, for serve/loadgen, the
- *                  request-result cache); "off" disables both
- *                  (default: NSBENCH_CACHE env var, else off)
- *   --cache-mb N   byte budget per cache level, in MiB
  *   --csv          emit CSV instead of aligned tables
  *   --device NAME  also project the op stream onto one device
  *                  ("all" projects onto every modeled device)
@@ -46,6 +41,12 @@
  *                  overlap speedup next to the sim::schedule
  *                  prediction; profiles over --runs episodes
  *                  (default 8 when --runs is 1)
+ *
+ * Caching options for `serve`/`loadgen`:
+ *   --cache MODE   "on" remembers completed scores in the
+ *                  request-result cache; "off" (the default) does not.
+ *                  Concurrent equal requests share one run either way
+ *   --cache-mb N   result-cache byte budget, in MiB
  *
  * Resilience options for `serve`/`loadgen` (see docs/DESIGN.md §7f):
  *   --faults SPEC  arm deterministic failpoints, e.g.
@@ -59,9 +60,9 @@
  *                  score after the retries are exhausted
  *   --pipeline[=D] enable intra-replica stage pipelining on the
  *                  workers (queue depth D, default 2); a worker
- *                  takes up to --max-batch queued requests of one
- *                  staged workload and overlaps their executions
- *                  across the neural/symbolic stages
+ *                  takes up to 8 queued requests of one staged
+ *                  workload and overlaps their executions across the
+ *                  neural/symbolic stages
  */
 
 #include <chrono>
@@ -73,8 +74,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/config.hh"
-#include "cache/precompute.hh"
 #include "core/profiler.hh"
 #include "exec/pipeline.hh"
 #include "common.hh"
@@ -110,15 +109,15 @@ usage()
            "  nsbench devices\n"
            "  nsbench run <workload> [--seed N] [--runs N]\n"
            "              [--threads N] [--simd scalar|avx2|auto]\n"
-           "              [--cache on|off] [--cache-mb N] [--csv]\n"
-           "              [--device NAME|all] [--pipeline[=D]]\n"
+           "              [--csv] [--device NAME|all]\n"
+           "              [--pipeline[=D]]\n"
            "  nsbench serve|loadgen [--workloads A,B,...]\n"
            "              [--listen [HOST:]PORT] (serve over TCP)\n"
            "              [--connect HOST:PORT] (drive a remote\n"
            "               server; needs --workloads)\n"
            "              [--json PATH]\n"
-           "              [--workers N] [--max-batch N]\n"
-           "              [--queue N] [--model-seed N]\n"
+           "              [--workers N] [--queue N]\n"
+           "              [--model-seed N]\n"
            "              [--cache on|off] [--cache-mb N]\n"
            "              [--preset serve|default]\n"
            "              [--open|--closed] [--rate HZ] [--clients N]\n"
@@ -172,37 +171,6 @@ parsePipelineArg(const std::string &arg, int *depth)
         std::exit(2);
     }
     return true;
-}
-
-/** Handles --cache on|off; exits with usage error on anything else. */
-bool
-parseCacheMode(const std::string &mode)
-{
-    if (mode == "on") {
-        cache::setEnabled(true);
-        return true;
-    }
-    if (mode == "off") {
-        cache::setEnabled(false);
-        return false;
-    }
-    std::cerr << "--cache must be on or off\n";
-    std::exit(2);
-}
-
-/** One-line summary of the precompute cache's residency. */
-void
-printPrecomputeLine()
-{
-    cache::PrecomputeStats stats =
-        cache::PrecomputeCache::global().stats();
-    std::cout << "precompute cache: "
-              << util::humanBytes(stats.residentBytes)
-              << " resident in " << stats.entries << " entr"
-              << (stats.entries == 1 ? "y" : "ies") << " ("
-              << stats.hits << " hit(s), " << stats.builds
-              << " build(s), " << stats.evictions
-              << " eviction(s))\n";
 }
 
 int
@@ -362,11 +330,6 @@ cmdRun(int argc, char **argv)
                 std::cerr << "--simd must be scalar, avx2 or auto\n";
                 return 2;
             }
-        } else if (arg == "--cache") {
-            parseCacheMode(next());
-        } else if (arg == "--cache-mb") {
-            uint64_t mb = std::strtoull(next(), nullptr, 10);
-            cache::PrecomputeCache::global().setMaxBytes(mb << 20);
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--device") {
@@ -422,8 +385,7 @@ cmdRun(int argc, char **argv)
                   << util::humanBytes(workload->storageBytes())
                   << "\nthreads:  " << util::ThreadPool::globalThreads()
                   << "\nsimd:     " << util::simd::activeBackendName()
-                  << "\ncache:    "
-                  << (cache::enabled() ? "on" : "off") << "\n\n";
+                  << "\n\n";
     }
 
     printTable(core::phaseBreakdownTable(prof), csv);
@@ -433,12 +395,6 @@ cmdRun(int argc, char **argv)
     printTable(core::topOpsTable(prof, 12), csv);
     std::cout << "\n";
     printTable(core::memoryTable(prof), csv);
-    if (!csv && cache::enabled()) {
-        // Precompute residency lives outside the logical-liveness
-        // peaks above; report it alongside the memory table.
-        std::cout << "\n";
-        printPrecomputeLine();
-    }
     if (!prof.sparsityRecords().empty()) {
         std::cout << "\n";
         printTable(core::sparsityTable(prof), csv);
@@ -503,13 +459,7 @@ struct ServeCli
      *  are filled from the fields above by cmdRoute. */
     net::RouterOptions router;
 
-    ServeCli()
-    {
-        server.workloads = {"LNN", "LTN", "NLM"};
-        // Both cache levels follow NSBENCH_CACHE unless --cache says
-        // otherwise.
-        server.resultCache = cache::enabled();
-    }
+    ServeCli() { server.workloads = {"LNN", "LTN", "NLM"}; }
 };
 
 /** Splits "[HOST:]PORT"; exits with a usage error on a bad port. */
@@ -574,8 +524,6 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             server_options.workloads = splitList(next());
         } else if (arg == "--workers") {
             server_options.workers = std::atoi(next());
-        } else if (arg == "--max-batch") {
-            server_options.maxBatch = std::atoi(next());
         } else if (arg == "--queue") {
             server_options.queueCapacity =
                 static_cast<size_t>(std::atoll(next()));
@@ -583,11 +531,15 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             server_options.modelSeed =
                 std::strtoull(next(), nullptr, 10);
         } else if (arg == "--cache") {
-            server_options.resultCache = parseCacheMode(next());
+            std::string mode = next();
+            if (mode != "on" && mode != "off") {
+                std::cerr << "--cache must be on or off\n";
+                return 2;
+            }
+            server_options.resultCache = mode == "on";
         } else if (arg == "--cache-mb") {
-            uint64_t mb = std::strtoull(next(), nullptr, 10);
-            server_options.cacheBytes = mb << 20;
-            cache::PrecomputeCache::global().setMaxBytes(mb << 20);
+            server_options.cacheBytes =
+                std::strtoull(next(), nullptr, 10) << 20;
         } else if (arg == "--preset") {
             std::string mode = next();
             if (mode == "serve") {
@@ -1003,7 +955,6 @@ cmdServe(int argc, char **argv, bool open_loop)
             std::cout << (i ? "," : "")
                       << server_options.workloads[i];
         std::cout << "\nworkers:  " << server_options.workers
-                  << "  max-batch " << server_options.maxBatch
                   << "  queue " << server_options.queueCapacity
                   << "  cache "
                   << (server_options.resultCache ? "on" : "off");
@@ -1058,8 +1009,6 @@ cmdServe(int argc, char **argv, bool open_loop)
                       << stats.entries << " entr"
                       << (stats.entries == 1 ? "y" : "ies") << "\n";
         }
-        if (cache::enabled())
-            printPrecomputeLine();
     }
     return 0;
 }
