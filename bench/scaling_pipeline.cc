@@ -11,11 +11,12 @@
  * the pipelined scores byte-match the serial ones before it trusts
  * any timing.
  *
- * Exit-code gate: every workload must be byte-identical, and at
- * least two must reach >= 1.3x end-to-end speedup. LTN is sized up
- * (people=320) so its quadratic axiom stage carries weight
- * comparable to its linear grounding stage; the other configs are
- * small enough to keep the bench in seconds. On a single-core host
+ * Exit-code gate: every workload must be byte-identical with no
+ * episode recording an error, and at least two must reach >= 1.3x
+ * end-to-end speedup. LTN is sized up (people=320) so its quadratic
+ * axiom stage carries weight comparable to its linear grounding
+ * stage; the other configs are small enough to keep the bench in
+ * seconds. On a single-core host
  * the stages cannot overlap, so the speedup part of the gate is
  * skipped (identity still gates).
  */
@@ -117,7 +118,8 @@ main(int argc, char **argv)
         exec::PipelineResult piped =
             exec::runPipelined(workload, seeds, options);
 
-        bool identical = byteIdentical(serial, piped.scores);
+        bool identical = piped.failures() == 0 &&
+                         byteIdentical(serial, piped.scores);
         all_identical = all_identical && identical;
         double speedup = piped.wallSeconds > 0.0
                              ? serial_wall / piped.wallSeconds

@@ -1,11 +1,11 @@
 #include "exec/pipeline.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <exception>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "core/opgraph.hh"
 #include "serve/queue.hh"
@@ -33,32 +33,15 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
-/** Shared shutdown state: first exception wins, everyone stops. */
-struct Abort
-{
-    std::mutex mu;
-    std::exception_ptr error;
-    std::atomic<bool> flag{false};
-
-    void
-    trip(std::exception_ptr e)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!error)
-                error = e;
-        }
-        flag.store(true, std::memory_order_release);
-    }
-
-    bool
-    tripped() const
-    {
-        return flag.load(std::memory_order_acquire);
-    }
-};
-
 } // namespace
+
+int
+PipelineResult::failures() const
+{
+    return static_cast<int>(
+        std::count_if(errors.begin(), errors.end(),
+                      [](const std::exception_ptr &e) { return !!e; }));
+}
 
 double
 PipelineResult::busySeconds() const
@@ -98,32 +81,38 @@ runPipelined(core::Workload &workload,
                   "runPipelined: stageCount() must be positive");
 
     auto episodes = static_cast<int>(seeds.size());
+    const bool reseed = workload.seedSensitive();
+    // Nothing can overlap: run the stages one after another here.
+    const bool on_caller = stage_count == 1 || episodes == 1;
     PipelineResult result;
     result.scores.assign(seeds.size(), 0.0);
+    result.errors.assign(seeds.size(), nullptr);
     result.episodeStageSeconds.assign(
         seeds.size(),
         std::vector<double>(static_cast<size_t>(stage_count), 0.0));
+    if (options.collectProfiles) {
+        result.neuralSeconds.assign(seeds.size(), 0.0);
+        result.symbolicSeconds.assign(seeds.size(), 0.0);
+    }
 
     // One private profiler and busy counter per stage; stage workers
-    // write disjoint slots, so no locks are needed on the result.
+    // write disjoint slots (an episode's slots are handed from stage
+    // to stage with its state), so no locks are needed on the result.
     std::vector<std::unique_ptr<Profiler>> profilers;
     std::vector<double> busy(static_cast<size_t>(stage_count), 0.0);
     for (int s = 0; s < stage_count; s++)
         profilers.push_back(std::make_unique<Profiler>());
 
-    // queues[s] feeds stage s+1.
+    // queues[s] feeds stage s+1 across threads. On the caller the one
+    // episode waits in handoff[s] instead, which also keeps the queue's
+    // chaos site out of a lone request's fault schedule.
     using Queue = serve::BoundedQueue<EpisodeState>;
     std::vector<std::unique_ptr<Queue>> queues;
-    for (int s = 0; s + 1 < stage_count; s++) {
-        queues.push_back(std::make_unique<Queue>(
-            static_cast<size_t>(options.depth)));
-    }
-
-    Abort abort;
-    auto close_all = [&queues] {
-        for (auto &queue : queues)
-            queue->close();
-    };
+    std::vector<std::optional<EpisodeState>> handoff(
+        on_caller ? static_cast<size_t>(stage_count - 1) : 0);
+    for (int s = 0; !on_caller && s + 1 < stage_count; s++)
+        queues.push_back(
+            std::make_unique<Queue>(static_cast<size_t>(options.depth)));
 
     auto worker = [&](int stage) {
         // Kernels inside runStage execute inline on this thread;
@@ -134,76 +123,73 @@ runPipelined(core::Workload &workload,
         Profiler::ThreadTargetScope target(profiler);
         profiler.reset(); // take ownership on this thread
         profiler.setEnabled(options.collectProfiles);
+        const auto slot = static_cast<size_t>(stage);
+        const bool last = stage == stage_count - 1;
 
-        bool last = stage == stage_count - 1;
-        auto finish = [&](EpisodeState &&state, double dt) {
-            busy[static_cast<size_t>(stage)] += dt;
-            result.episodeStageSeconds[static_cast<size_t>(
-                state.index)][static_cast<size_t>(stage)] = dt;
-            if (last) {
-                result.scores[static_cast<size_t>(state.index)] =
-                    state.score;
-                return true;
-            }
-            return queues[static_cast<size_t>(stage)]->push(
-                std::move(state));
+        int fed = 0;
+        auto next = [&]() -> std::optional<EpisodeState> {
+            if (stage > 0)
+                return on_caller ? std::exchange(handoff[slot - 1], {})
+                                 : queues[slot - 1]->pop();
+            if (fed == episodes)
+                return std::nullopt;
+            EpisodeState state;
+            state.seed = seeds[static_cast<size_t>(fed)];
+            state.index = fed++;
+            return state;
         };
 
-        if (stage == 0) {
-            for (int i = 0; i < episodes; i++) {
-                if (abort.tripped())
-                    break;
-                EpisodeState state;
-                state.seed = seeds[static_cast<size_t>(i)];
-                state.index = i;
-                auto start = Clock::now();
-                try {
-                    workload.reseedEpisodes(state.seed);
-                    workload.runStage(0, state);
-                } catch (...) {
-                    abort.trip(std::current_exception());
-                    close_all();
-                    break;
-                }
-                if (!finish(std::move(state), secondsSince(start)))
-                    break;
+        double neural = 0.0, symbolic = 0.0; // profiler totals so far
+        while (auto state = next()) {
+            const auto e = static_cast<size_t>(state->index);
+            auto start = Clock::now();
+            try {
+                if (stage == 0 && reseed)
+                    workload.reseedEpisodes(state->seed);
+                workload.runStage(stage, *state);
+            } catch (...) {
+                result.errors[e] = std::current_exception();
             }
-            if (!queues.empty())
-                queues[0]->close();
-        } else {
-            Queue &in = *queues[static_cast<size_t>(stage - 1)];
-            while (auto state = in.pop()) {
-                if (abort.tripped())
-                    break;
-                auto start = Clock::now();
-                try {
-                    workload.runStage(stage, *state);
-                } catch (...) {
-                    abort.trip(std::current_exception());
-                    close_all();
-                    break;
-                }
-                if (!finish(std::move(*state),
-                            secondsSince(start)))
-                    break;
+            double dt = secondsSince(start);
+            busy[slot] += dt;
+            result.episodeStageSeconds[e][slot] = dt;
+            if (options.collectProfiles) {
+                Profiler::flushThisThread();
+                double was_neural = std::exchange(
+                    neural, profiler.phaseTotals(Phase::Neural).seconds);
+                double was_symbolic = std::exchange(
+                    symbolic,
+                    profiler.phaseTotals(Phase::Symbolic).seconds);
+                result.neuralSeconds[e] += neural - was_neural;
+                result.symbolicSeconds[e] += symbolic - was_symbolic;
             }
-            if (stage < stage_count - 1)
-                queues[static_cast<size_t>(stage)]->close();
+            if (result.errors[e])
+                continue;
+            if (last)
+                result.scores[e] = state->score;
+            else if (on_caller)
+                handoff[slot] = std::move(*state);
+            else
+                queues[slot]->push(std::move(*state));
         }
+        if (!last && !on_caller)
+            queues[slot]->close();
         Profiler::flushThisThread();
     };
 
     auto wall_start = Clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(stage_count));
-    for (int s = 0; s < stage_count; s++)
-        threads.emplace_back(worker, s);
-    for (std::thread &thread : threads)
-        thread.join();
+    if (on_caller) {
+        for (int s = 0; s < stage_count; s++)
+            worker(s);
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(static_cast<size_t>(stage_count));
+        for (int s = 0; s < stage_count; s++)
+            threads.emplace_back(worker, s);
+        for (std::thread &thread : threads)
+            thread.join();
+    }
     result.wallSeconds = secondsSince(wall_start);
-
-    if (abort.flag.load())
-        std::rethrow_exception(abort.error);
 
     for (int s = 0; s < stage_count; s++) {
         StageSpec spec = workload.stageSpec(s);
@@ -220,19 +206,6 @@ runPipelined(core::Workload &workload,
         result.stages.push_back(std::move(report));
     }
     return result;
-}
-
-PipelineResult
-runPipelined(core::Workload &workload, int episodes,
-             uint64_t baseSeed, const PipelineOptions &options)
-{
-    util::panicIf(episodes < 1,
-                  "runPipelined: need at least one episode");
-    std::vector<uint64_t> seeds;
-    seeds.reserve(static_cast<size_t>(episodes));
-    for (int i = 0; i < episodes; i++)
-        seeds.push_back(episodeSeed(baseSeed, i));
-    return runPipelined(workload, seeds, options);
 }
 
 std::vector<double>

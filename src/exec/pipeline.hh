@@ -11,6 +11,11 @@
  * carrying EpisodeState between consecutive stages, so up to
  * stageCount() episodes are in flight at once.
  *
+ * When nothing can overlap — one stage, or one episode — the same
+ * per-stage worker runs each stage in turn on the calling thread and
+ * no thread is started. The server executes every request this way,
+ * so a lone request pays no thread or queue handoff.
+ *
  * Determinism: the stage-0 worker calls reseedEpisodes(seed_i)
  * immediately before runStage(0) of episode i, and episodes flow
  * through every stage in submission order. Because stage 0 consumes
@@ -19,12 +24,19 @@
  * model structures, the per-episode scores are byte-identical to a
  * serial reseedEpisodes + run() loop over the same seeds — the
  * tests/exec suite enforces exactly this.
+ *
+ * Errors: the same contract makes a failed episode harmless to the
+ * rest of its train. A stage that throws fails only that episode —
+ * its exception lands in PipelineResult::errors and its state goes
+ * no further — while the next episode's stage 0 reseeds from scratch
+ * and later stages only ever see states that succeeded so far.
  */
 
 #ifndef NSBENCH_EXEC_PIPELINE_HH
 #define NSBENCH_EXEC_PIPELINE_HH
 
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -49,8 +61,8 @@ struct PipelineOptions
     /**
      * Collect per-stage operator profiles. Each stage worker owns a
      * private Profiler installed via ThreadTargetScope, so phase and
-     * region attribution stays exact per stage; turn this off on
-     * latency-sensitive paths (serving) that only need stage timers.
+     * region attribution stays exact per stage and per episode; turn
+     * this off where only the stage timers are read.
      */
     bool collectProfiles = true;
 };
@@ -68,14 +80,25 @@ struct StageReport
 /** Outcome of one pipelined multi-episode execution. */
 struct PipelineResult
 {
-    /** Per-episode scores, in submission order. */
+    /** Per-episode scores, in submission order (0 when failed). */
     std::vector<double> scores;
+    /** Per-episode stage exception; null when the episode succeeded. */
+    std::vector<std::exception_ptr> errors;
+    /**
+     * Per-episode profiler phase time summed over its stages; empty
+     * unless PipelineOptions::collectProfiles.
+     */
+    std::vector<double> neuralSeconds;
+    std::vector<double> symbolicSeconds; ///< @see neuralSeconds
     /** seconds[episode][stage] spent inside that runStage call. */
     std::vector<std::vector<double>> episodeStageSeconds;
     /** End-to-end wall time across all episodes. */
     double wallSeconds = 0.0;
     /** Per-stage aggregates, index = stage. */
     std::vector<StageReport> stages;
+
+    /** Episodes whose error slot is set. */
+    int failures() const;
 
     /** Sum of stage busy time — the serial-equivalent work. */
     double busySeconds() const;
@@ -96,20 +119,16 @@ uint64_t episodeSeed(uint64_t base, int index);
 
 /**
  * Runs one episode per entry of @p seeds through the workload's
- * stage pipeline. Works for any workload: single-stage workloads
- * degenerate to a serial loop on one worker thread. Stage workers
- * pin themselves with ThreadPool::SerialScope, so kernels inside
- * runStage execute inline — parallelism comes from stage overlap,
- * not from nested pools. Rethrows the first stage exception after
- * shutting the pipeline down.
+ * stage pipeline. Works for any workload: a single-stage workload,
+ * or a single episode, runs on the calling thread; otherwise each
+ * stage gets its own thread. Stage workers pin themselves with
+ * ThreadPool::SerialScope, so kernels inside runStage execute
+ * inline — parallelism comes from stage overlap, not from nested
+ * pools. Seed-insensitive workloads are not reseeded. Never throws
+ * a stage's exception: it fails that episode alone (see errors).
  */
 PipelineResult runPipelined(core::Workload &workload,
                             const std::vector<uint64_t> &seeds,
-                            const PipelineOptions &options = {});
-
-/** Convenience overload: seeds episodeSeed(baseSeed, 0..episodes). */
-PipelineResult runPipelined(core::Workload &workload, int episodes,
-                            uint64_t baseSeed,
                             const PipelineOptions &options = {});
 
 /**

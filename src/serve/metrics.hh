@@ -53,12 +53,12 @@ struct WorkloadMetrics
     uint64_t canceled = 0;           ///< Abandoned by the submitter
                                      ///< and pruned before execution.
     uint64_t failed = 0;             ///< Failed after every retry.
-    uint64_t executions = 0;         ///< Actual run() invocations.
+    uint64_t executions = 0;         ///< Successful executions.
     uint64_t cacheHits = 0;          ///< Result-cache hits at admission.
     uint64_t cacheMisses = 0;        ///< Result-cache misses.
     uint64_t cacheEvictions = 0;     ///< Result-cache entries evicted.
     uint64_t singleFlightShared = 0; ///< Followers fanned a leader's result.
-    uint64_t workerFaults = 0;       ///< run() attempts that threw.
+    uint64_t workerFaults = 0;       ///< Executions that faulted.
     uint64_t retries = 0;            ///< Re-attempts after a fault.
     uint64_t retriedOk = 0;          ///< Completions that needed a retry.
     uint64_t staleServed = 0;        ///< Cache fallbacks after failure.
@@ -172,10 +172,10 @@ class ServerMetrics
     void recordOutcome(const std::string &workload,
                        const Response &response);
 
-    /** Notes one run() attempt that threw (injected or real). */
+    /** Notes one execution that faulted (injected or a throw). */
     void recordWorkerFault(const std::string &workload);
 
-    /** Notes one re-attempt after a faulted run(). */
+    /** Notes one re-attempt after a faulted execution. */
     void recordRetry(const std::string &workload);
 
     /** Notes a supervisor replica rebuild after a poisoned run. */

@@ -33,24 +33,17 @@ registryFactory(const std::string &name)
     return core::WorkloadRegistry::global().create(name);
 }
 
-/** Injected transient run() failure: retried in place. */
+/** Injected callback failure: the worker must survive it. */
 struct FaultInjected : std::runtime_error
 {
-    FaultInjected() : std::runtime_error("injected run fault") {}
+    FaultInjected() : std::runtime_error("injected callback fault") {}
 };
 
-/** Injected replica poison: the supervisor rebuilds the replica. */
-struct ReplicaPoisoned : std::runtime_error
-{
-    ReplicaPoisoned() : std::runtime_error("injected replica poison")
-    {}
-};
-
-/** Exponential backoff for retry @p attempt (1-based), shift-capped. */
+/** Exponential backoff for retry @p retry (1-based), shift-capped. */
 std::chrono::microseconds
-backoffFor(int64_t base_us, int attempt)
+backoffFor(int64_t base_us, int retry)
 {
-    int shift = std::min(attempt - 1, 10);
+    int shift = std::min(retry - 1, 10);
     return std::chrono::microseconds(base_us << shift);
 }
 
@@ -320,24 +313,12 @@ Server::workerMain(int workerIndex)
     (void)workerIndex;
     // Serve requests single-threaded on this worker: all parallelFor
     // kernels run inline, so concurrent workers never contend on the
-    // shared pool and the per-request op stream stays on this thread.
+    // shared pool.
     util::ThreadPool::SerialScope serial;
 
     std::map<std::string, Replica> replicas;
-    for (const auto &name : options_.workloads) {
-        Replica replica;
-        replica.workload = options_.factory(name);
-        util::panicIf(!replica.workload,
-                      "Server: factory returned null for " + name);
-        {
-            // Pre-warm under the replica's own profiler so setUp
-            // allocations never pollute the process-global one.
-            core::Profiler::ThreadTargetScope target(replica.profiler);
-            replica.workload->setUp(options_.modelSeed);
-            core::Profiler::flushThisThread();
-        }
-        replicas.emplace(name, std::move(replica));
-    }
+    for (const auto &name : options_.workloads)
+        replicas.emplace(name, buildReplica(name));
 
     {
         std::lock_guard<std::mutex> lock(readyMu_);
@@ -363,13 +344,9 @@ Server::dispatch(std::map<std::string, Replica> &replicas,
     // Stage pipelining needs two or more executions to overlap: take
     // the same-workload requests queued right behind this one. Each
     // is a distinct key, since single-flight parked the duplicates.
-    // Skipped while fault injection is armed: the serial path owns
-    // the retry / replica-replacement / stale-fallback semantics,
-    // and extra stage threads would perturb the fault schedule.
     std::vector<Request> group;
     group.push_back(std::move(first));
-    if (options_.pipelineDepth > 0 &&
-        replica.workload->stageCount() > 1 && !fp::armed())
+    if (options_.pipelineDepth > 0 && replica->stageCount() > 1)
         admission_.tryPopWhile(
             [&](const Request &next) {
                 return next.workload == workload;
@@ -395,14 +372,7 @@ Server::dispatch(std::map<std::string, Replica> &replicas,
     for (Request &request : group)
         if (prune(request, now))
             live.push_back(std::move(request));
-
-    if (live.size() >= 2 && runPipelinedGroup(replica, live, batchSize))
-        return;
-    // A pipeline failure with no faults armed is a real workload
-    // error: the serial path re-runs each request and applies the
-    // normal failure handling to it.
-    for (Request &request : live)
-        runSerial(replica, request, batchSize);
+    execute(replica, std::move(live), batchSize);
 }
 
 bool
@@ -423,142 +393,106 @@ Server::prune(Request &request, TimePoint now)
     return !flights_.finishIfIdle(request.key);
 }
 
-bool
-Server::runPipelinedGroup(Replica &replica, std::vector<Request> &group,
-                          int batchSize)
+void
+Server::execute(Replica &replica, std::vector<Request> live,
+                int batchSize)
 {
-    std::vector<uint64_t> seeds;
-    seeds.reserve(group.size());
-    for (const Request &request : group)
-        seeds.push_back(request.seed);
-    exec::PipelineOptions pipeOptions;
-    pipeOptions.depth = options_.pipelineDepth;
-    // Stage timers are enough here: the neural/symbolic split is
-    // attributed stage-granularly from StageSpec below, without
-    // paying per-op profiling on the serving path.
-    pipeOptions.collectProfiles = false;
-    TimePoint start = ServeClock::now();
-    exec::PipelineResult piped;
-    try {
-        piped = exec::runPipelined(*replica.workload, seeds,
-                                   pipeOptions);
-    } catch (...) {
-        return false;
-    }
-    for (size_t g = 0; g < group.size(); g++) {
+    struct Pending
+    {
+        Request request;
         Response outcome;
-        outcome.score = piped.scores[g];
-        outcome.batchSize = batchSize;
-        outcome.pipelined = true;
-        const auto &stageDt = piped.episodeStageSeconds[g];
-        for (size_t s = 0; s < stageDt.size(); s++) {
-            outcome.serviceSeconds += stageDt[s];
-            if (piped.stages[s].phase == core::Phase::Neural)
-                outcome.neuralSeconds += stageDt[s];
-            else if (piped.stages[s].phase == core::Phase::Symbolic)
-                outcome.symbolicSeconds += stageDt[s];
-        }
-        metrics_.recordExecution(group[g].workload,
-                                 outcome.serviceSeconds);
-        complete(group[g], outcome, start);
+        double stall = 0.0; ///< This round's injected delay.
+        int episode = -1;   ///< Index in this round's run; -1 = faulted.
+    };
+    std::vector<Pending> pending(live.size());
+    for (size_t i = 0; i < live.size(); i++) {
+        pending[i].request = std::move(live[i]);
+        pending[i].outcome.batchSize = batchSize;
     }
-    return true;
-}
 
-void
-Server::runSerial(Replica &replica, Request &request, int batchSize)
-{
+    // Round by round: the worker sites fire for each live request
+    // before the run (a crash rebuilds the replica on the spot), the
+    // requests that passed them run as one episode train, and every
+    // fault or failed episode retries in the next round. Retries are
+    // bounded with exponential backoff, and each backoff re-prunes,
+    // so a long outage never runs work whose deadline already passed
+    // or whose submitter already gave up (a losing hedge).
     TimePoint start = ServeClock::now();
-    Response outcome;
-    outcome.batchSize = batchSize;
-    // Bounded retry with exponential backoff. A poisoned replica is
-    // rebuilt by the supervisor before the next attempt; a transient
-    // fault retries on the replica as-is. Each backoff re-prunes, so
-    // a long outage never runs work whose deadline already passed or
-    // whose submitter already gave up (a losing hedge).
-    bool succeeded = false;
-    while (true) {
-        try {
-            attempt(replica, request.seed, outcome);
-            succeeded = true;
-            break;
-        } catch (const ReplicaPoisoned &) {
-            metrics_.recordWorkerFault(request.workload);
-            rebuildReplica(request.workload, replica);
-        } catch (...) {
-            metrics_.recordWorkerFault(request.workload);
+    for (int round = 1; !pending.empty(); round++) {
+        std::vector<uint64_t> seeds;
+        for (Pending &p : pending) {
+            // A firing delay site sleeps in evaluate() and returns
+            // false: the stall lands inside this request's service
+            // time — the slow-not-dead shard the tail layer (breaker
+            // + hedging) exists to route around.
+            util::WallTimer timer;
+            NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
+            p.stall = timer.elapsed();
+            p.episode = -1;
+            if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash)) {
+                rebuildReplica(p.request.workload, replica);
+            } else if (!NSBENCH_FAILPOINT(fp::sites::kWorkerRun)) {
+                p.episode = static_cast<int>(seeds.size());
+                seeds.push_back(p.request.seed);
+            }
         }
-        if (outcome.retries >= options_.maxRetries)
+
+        // Always re-entered through the replica pointer (never a
+        // cached reference): a crash may have swapped in a fresh one.
+        exec::PipelineResult piped;
+        if (!seeds.empty()) {
+            exec::PipelineOptions pipeOptions;
+            pipeOptions.depth = std::max(options_.pipelineDepth, 1);
+            piped = exec::runPipelined(*replica, seeds, pipeOptions);
+        }
+
+        std::vector<Pending> failed;
+        for (Pending &p : pending) {
+            Response &outcome = p.outcome;
+            auto e = static_cast<size_t>(p.episode);
+            if (p.episode >= 0 && !piped.errors[e]) {
+                outcome.score = piped.scores[e];
+                outcome.serviceSeconds = p.stall;
+                for (double dt : piped.episodeStageSeconds[e])
+                    outcome.serviceSeconds += dt;
+                outcome.neuralSeconds = piped.neuralSeconds[e];
+                outcome.symbolicSeconds = piped.symbolicSeconds[e];
+                outcome.pipelined = seeds.size() >= 2;
+                metrics_.recordExecution(p.request.workload,
+                                         outcome.serviceSeconds);
+                complete(p.request, outcome, start);
+                continue;
+            }
+            metrics_.recordWorkerFault(p.request.workload);
+            if (outcome.retries < options_.maxRetries) {
+                outcome.retries++;
+                metrics_.recordRetry(p.request.workload);
+                failed.push_back(std::move(p));
+            } else if (double stale = 0.0;
+                       cache_ && options_.staleFallback &&
+                       cache_->lookup(p.request.key, &stale)) {
+                // Serve-stale fallback: answer from the last cached
+                // score for this key (byte-exact by the determinism
+                // contract, but marked stale — the mechanism is
+                // generic).
+                outcome.score = stale;
+                outcome.cached = true;
+                outcome.stale = true;
+                complete(p.request, outcome, start);
+            } else {
+                outcome.status = RequestStatus::Failed;
+                complete(p.request, outcome, start);
+            }
+        }
+        pending.clear();
+        if (failed.empty())
             break;
-        outcome.retries++;
-        metrics_.recordRetry(request.workload);
         std::this_thread::sleep_for(
-            backoffFor(options_.retryBackoffUs, outcome.retries));
-        if (!prune(request, ServeClock::now()))
-            return;
-    }
-
-    if (succeeded) {
-        metrics_.recordExecution(request.workload,
-                                 outcome.serviceSeconds);
-    } else if (double stale = 0.0;
-               cache_ && options_.staleFallback &&
-               cache_->lookup(request.key, &stale)) {
-        // Serve-stale fallback: answer from the last cached score
-        // for this key (byte-exact by the determinism contract, but
-        // marked stale — the mechanism is generic).
-        outcome.score = stale;
-        outcome.cached = true;
-        outcome.stale = true;
-    } else {
-        outcome.status = RequestStatus::Failed;
-    }
-    complete(request, outcome, start);
-}
-
-void
-Server::attempt(Replica &replica, uint64_t seed, Response &outcome)
-{
-    // Always re-entered through replica.workload (never a cached
-    // reference): a poisoned attempt may have swapped in a fresh
-    // replica.
-    core::Profiler::ThreadTargetScope target(replica.profiler);
-    if (options_.profilePhases) {
-        // reset() also makes this worker the profiler's owner, so
-        // every inline-executed op applies directly.
-        replica.profiler.reset();
-    } else {
-        replica.profiler.setEnabled(false);
-    }
-    if (replica.workload->seedSensitive())
-        replica.workload->reseedEpisodes(seed);
-    util::WallTimer timer;
-    try {
-        // A firing delay site sleeps in evaluate() and returns false:
-        // the stall lands inside the measured service time — the
-        // slow-not-dead shard the tail layer (breaker + hedging)
-        // exists to route around.
-        NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
-        if (NSBENCH_FAILPOINT(fp::sites::kWorkerCrash))
-            throw ReplicaPoisoned();
-        if (NSBENCH_FAILPOINT(fp::sites::kWorkerRun))
-            throw FaultInjected();
-        outcome.score = replica.workload->run();
-    } catch (...) {
-        // Drain the aborted attempt's op buffer while this scope
-        // still targets the replica profiler, so the next attempt's
-        // phase split starts clean.
-        core::Profiler::flushThisThread();
-        throw;
-    }
-    outcome.serviceSeconds = timer.elapsed();
-    core::Profiler::flushThisThread();
-    if (options_.profilePhases) {
-        outcome.neuralSeconds =
-            replica.profiler.phaseTotals(core::Phase::Neural).seconds;
-        outcome.symbolicSeconds =
-            replica.profiler.phaseTotals(core::Phase::Symbolic)
-                .seconds;
+            backoffFor(options_.retryBackoffUs, round));
+        TimePoint now = ServeClock::now();
+        for (Pending &p : failed)
+            if (prune(p.request, now))
+                pending.push_back(std::move(p));
     }
 }
 
@@ -622,29 +556,31 @@ Server::complete(const Request &request, Response outcome,
     }
 }
 
+Server::Replica
+Server::buildReplica(const std::string &name) const
+{
+    Replica replica = options_.factory(name);
+    util::panicIf(!replica, "Server: factory returned null for " + name);
+    // Pre-warm under a private profiler so setUp allocations never
+    // pollute the process-global one. This thread owns it, so every
+    // op applies directly and nothing stays buffered once it goes.
+    core::Profiler setup;
+    core::Profiler::ThreadTargetScope target(setup);
+    replica->setUp(options_.modelSeed);
+    return replica;
+}
+
 void
 Server::rebuildReplica(const std::string &name, Replica &replica)
 {
-    Replica fresh;
-    fresh.workload = options_.factory(name);
-    util::panicIf(!fresh.workload,
-                  "Server: factory returned null for " + name);
-    bool built = false;
-    {
-        core::Profiler::ThreadTargetScope target(fresh.profiler);
-        try {
-            fresh.workload->setUp(options_.modelSeed);
-            built = true;
-        } catch (...) {
-            // Build-then-swap: a failed rebuild (setUp can itself hit
-            // an injected fault) keeps the old replica in place; the
-            // retry loop decides what happens to the request.
-        }
-        core::Profiler::flushThisThread();
-    }
-    if (!built)
+    try {
+        replica = buildReplica(name);
+    } catch (...) {
+        // Build-then-swap: a failed rebuild (setUp can itself hit an
+        // injected fault) keeps the old replica in place; the retry
+        // loop decides what happens to the request.
         return;
-    replica = std::move(fresh);
+    }
     metrics_.recordReplicaReplaced(name);
 }
 

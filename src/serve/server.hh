@@ -21,10 +21,12 @@
  * on CPU-bound workloads: every request a worker pops is a distinct
  * in-flight key.
  *
- * Each worker pins itself into ThreadPool::SerialScope and installs a
- * thread-local profiler target, so requests execute single-threaded
- * on the worker with an exact per-execution neural/symbolic phase
- * split, and concurrent workers never contend on the shared pool.
+ * Every execution goes through exec::runPipelined: a lone request
+ * runs its stages in turn on the worker, a pipelined group overlaps
+ * them on stage threads. Either way kernels run inline
+ * (ThreadPool::SerialScope) under per-stage profilers, so each
+ * response carries an exact per-execution neural/symbolic phase
+ * split and concurrent workers never contend on the shared pool.
  */
 
 #ifndef NSBENCH_SERVE_SERVER_HH
@@ -43,7 +45,6 @@
 
 #include "cache/result_cache.hh"
 #include "cache/single_flight.hh"
-#include "core/profiler.hh"
 #include "core/workload.hh"
 #include "serve/metrics.hh"
 #include "serve/queue.hh"
@@ -60,7 +61,6 @@ struct ServerOptions
     int workers = 2;              ///< Worker threads (replica sets).
     size_t queueCapacity = 256;   ///< Admission queue bound.
     uint64_t modelSeed = 42;      ///< setUp seed for every replica.
-    bool profilePhases = true;    ///< Collect the neural/symbolic split.
     /**
      * Remembers completed scores: repeats of a completed (workload,
      * episode seed) are answered at admission without a run(), and
@@ -119,20 +119,18 @@ struct ServerOptions
      */
     bool staleFallback = true;
     /**
-     * Intra-replica stage pipelining (opt-in, 0 = off). When a worker
-     * pops a request for a staged workload (stageCount() > 1), it
-     * also takes the requests for that workload waiting at the head
-     * of the admission queue, up to 8 in all, and runs the group
-     * through exec::runPipelined with this inter-stage queue depth
-     * instead of back-to-back run() calls, overlapping execution i's
-     * symbolic stage with execution i+1's neural stage. Other
-     * workloads stay queued for the other workers. Scores stay
-     * byte-identical to the serial path (the staged-interface
-     * determinism contract). While fault injection is armed the
-     * worker takes one request at a time on the serial retry path,
-     * so the resilience semantics — bounded retries, replica
-     * replacement, stale fallback — are unchanged under chaos
-     * testing.
+     * Intra-replica stage pipelining (opt-in, 0 = off). Every request
+     * executes through exec::runPipelined; a lone request runs its
+     * stages in turn on the worker. With pipelining on, a worker that
+     * pops a request for a staged workload (stageCount() > 1) also
+     * takes the requests for that workload waiting at the head of the
+     * admission queue, up to 8 in all, and runs the group as one
+     * episode train with this inter-stage queue depth, overlapping
+     * execution i's symbolic stage with execution i+1's neural stage.
+     * Other workloads stay queued for the other workers. Scores stay
+     * byte-identical either way (the staged-interface determinism
+     * contract), and faults stay per request: a failed episode
+     * retries alone while the rest of its group completes.
      */
     int pipelineDepth = 0;
     /**
@@ -215,12 +213,8 @@ class Server
     }
 
   private:
-    /** Per-worker replica with its private profiler. */
-    struct Replica
-    {
-        std::unique_ptr<core::Workload> workload;
-        core::Profiler profiler;
-    };
+    /** A worker's pre-warmed instance of one served workload. */
+    using Replica = std::unique_ptr<core::Workload>;
 
     /** A parked single-flight follower awaiting its leader's result. */
     struct Flight
@@ -255,20 +249,16 @@ class Server
      */
     bool prune(Request &request, TimePoint now);
 
-    /** Runs a group of distinct keys through the stage pipeline;
-     *  false (nothing answered) when the pipeline failed. */
-    bool runPipelinedGroup(Replica &replica, std::vector<Request> &group,
-                           int batchSize);
-
     /**
-     * Runs one request with bounded retry, backoff and replica
-     * rebuild, then answers it (stale or Failed when every attempt
-     * failed).
+     * Runs a group of distinct keys through exec::runPipelined, one
+     * round at a time: the worker failpoints fire per request before
+     * the run, successes complete, and every fault or failed episode
+     * retries after a backoff with the rest of the round's failures,
+     * replica rebuilt on a crash. A request past its retries is
+     * answered stale or Failed.
      */
-    void runSerial(Replica &replica, Request &request, int batchSize);
-
-    /** One run() attempt; fills @p outcome's score and timings. */
-    void attempt(Replica &replica, uint64_t seed, Response &outcome);
+    void execute(Replica &replica, std::vector<Request> live,
+                 int batchSize);
 
     /**
      * Caches an Ok score, ends the request's flight and answers the
@@ -285,6 +275,9 @@ class Server
      */
     void deliver(const std::string &workload, const Callback &done,
                  const Response &response);
+
+    /** Builds one replica through the factory and runs its setUp. */
+    Replica buildReplica(const std::string &name) const;
 
     /**
      * Supervisor: replaces a poisoned replica with a freshly built

@@ -31,7 +31,6 @@ cachedFake(FakeCounters &counters, bool seed_sensitive)
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.profilePhases = false;
     options.resultCache = true;
     options.factory = [&counters,
                        seed_sensitive](const std::string &) {

@@ -418,13 +418,14 @@ TEST_F(Chaos, FaultedServerScoresMatchFaultFreeScores)
 TEST_F(Chaos, PipelinedServerKeepsInvariantsUnderFaults)
 {
     // Intra-replica pipelining must not weaken any chaos invariant:
-    // with faults armed the worker falls back to the serial retry
-    // path, and either way every request is answered exactly once
-    // with the fault-free score. NVSA is staged and seed-sensitive,
-    // so its distinct seeds queued together form the group the
-    // pipeline path takes when it engages; a gated fake request
-    // holds the only worker while they queue, so the group forms by
+    // faults fire on the pipelined path itself, and every request is
+    // still answered exactly once with the fault-free score. NVSA is
+    // staged and seed-sensitive, so its distinct seeds queued
+    // together form a pipelined group; a gated fake request holds
+    // the only worker while they queue, so the group forms by
     // construction.
+    int pipelined = 0;
+    std::map<std::string, fp::SiteStats> stats;
     auto scoresUnder = [&](const std::string &spec, int depth) {
         fp::reset();
         if (!spec.empty()) {
@@ -472,29 +473,43 @@ TEST_F(Chaos, PipelinedServerKeepsInvariantsUnderFaults)
         // may fail it); it only has to be answered.
         held.get_future().wait();
         std::map<uint64_t, double> scores;
+        pipelined = 0;
         for (int i = 0; i < total; i++) {
             serve::Response response =
                 futures[static_cast<size_t>(i)].get();
             EXPECT_EQ(response.status, serve::RequestStatus::Ok);
-            // Armed faults keep the worker on the serial path; clean,
-            // the six distinct seeds run as one pipelined group.
-            EXPECT_EQ(response.pipelined, depth > 0 && spec.empty())
-                << "request " << i;
+            // Clean, the six distinct seeds run as one pipelined
+            // group; a serial server never pipelines.
+            if (spec.empty()) {
+                EXPECT_EQ(response.pipelined, depth > 0)
+                    << "request " << i;
+            }
+            pipelined += response.pipelined;
             uint64_t seed = static_cast<uint64_t>(i % 6);
             auto [found, inserted] =
                 scores.emplace(seed, response.score);
-            if (!inserted)
+            if (!inserted) {
                 EXPECT_EQ(found->second, response.score)
                     << "seed " << seed;
+            }
         }
         server.shutdown();
+        stats = fp::stats();
         return scores;
     };
 
     auto clean_serial = scoresUnder("", 0);
     auto clean_piped = scoresUnder("", 2);
     auto faulted_piped = scoresUnder(
-        "serve.worker.run=0.3@23,serve.worker.crash=0.1@29", 2);
+        "serve.worker.run=0.3@23,serve.worker.crash=0.3@29", 2);
+    // Armed, faults fired at the run and crash sites, and requests
+    // that passed them still ran as pipelined groups.
+    EXPECT_GT(pipelined, 0);
+    for (const char *site : {"serve.worker.run", "serve.worker.crash"}) {
+        EXPECT_GT(stats[site].fires, 0u)
+            << site << ": " << stats[site].evaluations
+            << " evaluations";
+    }
     EXPECT_EQ(clean_serial, clean_piped);
     EXPECT_EQ(clean_serial, faulted_piped);
 }

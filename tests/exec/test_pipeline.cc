@@ -1,7 +1,8 @@
 /**
  * @file
  * Stage-pipelined execution: byte-identity, ordering, stage reports,
- * failure propagation, and the server's intra-replica pipeline mode.
+ * per-episode failures, the run-on-the-caller path, and the server's
+ * intra-replica pipeline mode.
  *
  * The load-bearing invariant is byte-identity: for every workload
  * and every queue depth, exec::runPipelined must produce exactly the
@@ -13,10 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/pipeline.hh"
@@ -189,7 +194,7 @@ TEST(Pipeline, StageReportsMatchSpecs)
     ToyStaged workload;
     workload.setUp(3);
     exec::PipelineResult piped =
-        exec::runPipelined(workload, 5, 42);
+        exec::runPipelined(workload, seedTrain(5));
     ASSERT_EQ(piped.stages.size(), 2u);
     EXPECT_EQ(piped.stages[0].name, "square");
     EXPECT_EQ(piped.stages[0].phase, core::Phase::Neural);
@@ -207,30 +212,159 @@ TEST(Pipeline, EpisodeSeedsAreSequential)
 {
     EXPECT_EQ(exec::episodeSeed(42, 0), 42u);
     EXPECT_EQ(exec::episodeSeed(42, 3), 45u);
-    ToyStaged workload;
-    workload.setUp(3);
-    exec::PipelineResult spelled =
-        exec::runPipelined(workload, seedTrain(6, 42));
-    exec::PipelineResult counted = exec::runPipelined(workload, 6, 42);
-    EXPECT_EQ(spelled.scores, counted.scores);
 }
 
-TEST(Pipeline, StageExceptionPropagatesFromEveryStage)
+/**
+ * Runs @p seeds through a FaultyStaged train and checks that only
+ * episode @p failEpisode records an error, while every other score
+ * is byte-equal to the fault-free serial loop.
+ */
+void
+expectOnlyEpisodeFails(int failStage, int failEpisode,
+                       const std::vector<uint64_t> &seeds, int depth)
 {
-    for (int stage : {0, 1}) {
-        FaultyStaged workload(stage, 2);
-        workload.setUp(3);
-        EXPECT_THROW(exec::runPipelined(workload, 8, 42,
-                                        exec::PipelineOptions{1}),
-                     std::runtime_error)
-            << "failing stage " << stage;
-    }
-    // The failure must tear the pipeline down, not wedge it: a
-    // full-depth train behind the faulting episode still returns.
-    FaultyStaged workload(1, 0);
+    ToyStaged clean;
+    clean.setUp(3);
+    std::vector<double> serial = exec::runSerialEpisodes(clean, seeds);
+    FaultyStaged workload(failStage, failEpisode);
     workload.setUp(3);
-    EXPECT_THROW(exec::runPipelined(workload, 32, 42),
-                 std::runtime_error);
+    exec::PipelineOptions options;
+    options.depth = depth;
+    exec::PipelineResult piped =
+        exec::runPipelined(workload, seeds, options);
+    ASSERT_EQ(piped.errors.size(), seeds.size());
+    EXPECT_EQ(piped.failures(), 1);
+    for (size_t i = 0; i < seeds.size(); i++) {
+        if (static_cast<int>(i) == failEpisode) {
+            EXPECT_NE(piped.errors[i], nullptr)
+                << "stage " << failStage;
+            EXPECT_THROW(std::rethrow_exception(piped.errors[i]),
+                         std::runtime_error);
+            continue;
+        }
+        EXPECT_EQ(piped.errors[i], nullptr)
+            << "stage " << failStage << " episode " << i;
+        EXPECT_EQ(std::memcmp(&piped.scores[i], &serial[i],
+                              sizeof(double)),
+                  0)
+            << "stage " << failStage << " episode " << i;
+    }
+}
+
+TEST(Pipeline, StageExceptionFailsOnlyItsEpisode)
+{
+    for (int stage : {0, 1})
+        expectOnlyEpisodeFails(stage, 2, seedTrain(8), 1);
+    // A failed episode neither tears the train down nor wedges it: a
+    // full-depth 32-episode train behind it still returns the rest.
+    expectOnlyEpisodeFails(1, 0, seedTrain(32), 2);
+    // The same holds when the one episode runs on the caller.
+    for (int stage : {0, 1})
+        expectOnlyEpisodeFails(stage, 0, seedTrain(1), 2);
+}
+
+/** ToyStaged that records which threads ran its stages. */
+class ThreadRecorder : public ToyStaged
+{
+  public:
+    explicit ThreadRecorder(int stages) : stages_(stages) {}
+    int stageCount() const override { return stages_; }
+    void
+    runStage(int stage, core::EpisodeState &state) override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            threads_.insert(std::this_thread::get_id());
+        }
+        if (stages_ == 2) {
+            ToyStaged::runStage(stage, state);
+        } else {
+            ToyStaged::runStage(0, state);
+            ToyStaged::runStage(1, state);
+        }
+    }
+    std::set<std::thread::id>
+    threads()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return threads_;
+    }
+
+  private:
+    int stages_;
+    std::mutex mu_;
+    std::set<std::thread::id> threads_;
+};
+
+TEST(Pipeline, NothingToOverlapRunsOnTheCallingThread)
+{
+    const std::set<std::thread::id> caller = {
+        std::this_thread::get_id()};
+    ToyStaged reference;
+    reference.setUp(3);
+
+    // One episode of a staged workload, and a train of a fused one:
+    // neither can overlap, so no thread is started.
+    ThreadRecorder one_episode(2);
+    one_episode.setUp(3);
+    exec::PipelineResult piped =
+        exec::runPipelined(one_episode, seedTrain(1));
+    EXPECT_EQ(one_episode.threads(), caller);
+    EXPECT_EQ(piped.scores,
+              exec::runSerialEpisodes(reference, seedTrain(1)));
+    ASSERT_EQ(piped.episodeStageSeconds.at(0).size(), 2u);
+
+    ThreadRecorder fused(1);
+    fused.setUp(3);
+    piped = exec::runPipelined(fused, seedTrain(5));
+    EXPECT_EQ(fused.threads(), caller);
+    EXPECT_EQ(piped.scores,
+              exec::runSerialEpisodes(reference, seedTrain(5)));
+
+    // Two episodes of two stages do overlap, on stage threads.
+    ThreadRecorder overlapped(2);
+    overlapped.setUp(3);
+    exec::runPipelined(overlapped, seedTrain(2));
+    EXPECT_EQ(overlapped.threads().count(std::this_thread::get_id()),
+              0u);
+    EXPECT_EQ(overlapped.threads().size(), 2u);
+}
+
+TEST(Pipeline, EpisodePhaseSecondsSumToStageTotals)
+{
+    // LNN's ground -> infer split records real ops in both phases;
+    // each episode's share, summed over the train, is the stage
+    // profilers' total — on stage threads and on the caller.
+    workloads::registerAllWorkloads();
+    auto workload = serve::serveFactory("LNN");
+    workload->setUp(7);
+    for (int episodes : {1, 3}) {
+        exec::PipelineResult piped =
+            exec::runPipelined(*workload, seedTrain(episodes));
+        ASSERT_EQ(piped.neuralSeconds.size(),
+                  static_cast<size_t>(episodes));
+        ASSERT_EQ(piped.symbolicSeconds.size(),
+                  static_cast<size_t>(episodes));
+        double neural = 0.0, symbolic = 0.0;
+        double stage_neural = 0.0, stage_symbolic = 0.0;
+        for (int i = 0; i < episodes; i++) {
+            neural += piped.neuralSeconds[static_cast<size_t>(i)];
+            symbolic += piped.symbolicSeconds[static_cast<size_t>(i)];
+        }
+        for (const exec::StageReport &stage : piped.stages) {
+            stage_neural += stage.neural.seconds;
+            stage_symbolic += stage.symbolic.seconds;
+        }
+        EXPECT_GT(symbolic, 0.0) << episodes << " episodes";
+        EXPECT_NEAR(neural, stage_neural, 1e-9);
+        EXPECT_NEAR(symbolic, stage_symbolic, 1e-9);
+    }
+    // Off, the result carries no per-episode split.
+    exec::PipelineOptions options;
+    options.collectProfiles = false;
+    exec::PipelineResult piped =
+        exec::runPipelined(*workload, seedTrain(2), options);
+    EXPECT_TRUE(piped.neuralSeconds.empty());
 }
 
 TEST(Pipeline, PredictedSpeedupModelsDedicatedUnits)

@@ -9,7 +9,8 @@
  * on sharing (how many run() calls served N requests), backpressure
  * and drain behaviour without paying for real models — and can queue
  * requests behind a held worker by construction rather than by
- * timing.
+ * timing. A two-stage variant throws on one chosen seed, for the
+ * server's pipelined groups.
  */
 
 #ifndef NSBENCH_TESTS_SERVE_FAKE_WORKLOAD_HH
@@ -18,7 +19,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "core/workload.hh"
@@ -116,22 +119,70 @@ class FakeWorkload : public core::Workload
         if (sleepMs_ > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(sleepMs_));
-        // Pure in (model seed, episode seed); seed-insensitive fakes
-        // ignore the episode seed like their real counterparts.
-        uint64_t mix = modelSeed_ * 1000003ULL +
-                       (seedSensitive_ ? episodeSeed_ * 97ULL : 0);
-        return static_cast<double>(mix % 100000) / 100000.0;
+        return score();
     }
 
     core::OpGraph opGraph() const override { return {}; }
     uint64_t storageBytes() const override { return 0; }
 
-  private:
+  protected:
+    /** Pure in (model seed, episode seed); seed-insensitive fakes
+     *  ignore the episode seed like their real counterparts. */
+    double
+    score() const
+    {
+        uint64_t mix = modelSeed_ * 1000003ULL +
+                       (seedSensitive_ ? episodeSeed_ * 97ULL : 0);
+        return static_cast<double>(mix % 100000) / 100000.0;
+    }
+
     FakeCounters &counters_;
     bool seedSensitive_;
     int sleepMs_;
     uint64_t modelSeed_ = 0;
     uint64_t episodeSeed_ = 0;
+};
+
+/**
+ * Seed-sensitive two-stage fake for the server's pipelined groups.
+ * Stage 0 counts a run, passes the gate and computes FakeWorkload's
+ * score into the handoff; stage 1 publishes it, so scores match the
+ * single-stage fake seed for seed. Stage 1 throws for episode seed
+ * @p failSeed — one request of a group fails while the rest run on.
+ */
+class FakeStagedWorkload : public FakeWorkload
+{
+  public:
+    FakeStagedWorkload(FakeCounters &counters, uint64_t failSeed)
+        : FakeWorkload(counters, true), failSeed_(failSeed)
+    {}
+
+    int stageCount() const override { return 2; }
+
+    core::StageSpec
+    stageSpec(int stage) const override
+    {
+        return stage == 0
+                   ? core::StageSpec{"perceive", core::Phase::Neural}
+                   : core::StageSpec{"reason", core::Phase::Symbolic};
+    }
+
+    void
+    runStage(int stage, core::EpisodeState &state) override
+    {
+        if (stage == 0) {
+            counters_.runs.fetch_add(1);
+            counters_.gate.pass();
+            state.scratch = std::make_shared<double>(score());
+            return;
+        }
+        if (state.seed == failSeed_)
+            throw std::runtime_error("fake stage failure");
+        state.score = *std::static_pointer_cast<double>(state.scratch);
+    }
+
+  private:
+    uint64_t failSeed_;
 };
 
 } // namespace nsbench::tests

@@ -34,7 +34,6 @@ fakeOptions(FakeCounters &counters, bool seed_sensitive,
     serve::ServerOptions options;
     options.workloads = {"Fake"};
     options.workers = 1;
-    options.profilePhases = false;
     options.factory = [&counters, seed_sensitive,
                        sleep_ms](const std::string &) {
         return std::make_unique<FakeWorkload>(counters,
@@ -361,6 +360,66 @@ TEST(ServeServer, PrunedLeaderWithoutFollowersDoesNotRun)
     // The pruned flight is gone: the same key runs afresh.
     EXPECT_EQ(server.call("Fake", 7).status, serve::RequestStatus::Ok);
     EXPECT_EQ(counters.runs.load(), 2u);
+}
+
+TEST(ServeServer, PipelinedGroupFailsOnlyTheThrowingRequest)
+{
+    // Five distinct seeds queue behind a request held at the gate and
+    // run as one pipelined group, in which seed 3's episode throws.
+    // Only that request retries — alone, round after round — and ends
+    // Failed; the rest of its group completes Ok on the first round.
+    FakeCounters counters;
+    serve::ServerOptions options;
+    options.workloads = {"Staged"};
+    options.workers = 1;
+    options.pipelineDepth = 2;
+    options.maxRetries = 2;
+    options.retryBackoffUs = 1;
+    options.factory = [&counters](const std::string &) {
+        return std::make_unique<tests::FakeStagedWorkload>(counters,
+                                                           3);
+    };
+    serve::Server server(std::move(options));
+    Answers answers;
+    counters.gate.close();
+    ASSERT_EQ(server.submit("Staged", 100, answers.tag(100)),
+              serve::RequestStatus::Ok);
+    for (int seed = 1; seed <= 5; seed++)
+        ASSERT_EQ(server.submit("Staged", static_cast<uint64_t>(seed),
+                                answers.tag(seed)),
+                  serve::RequestStatus::Ok);
+    counters.gate.open();
+    answers.wait(6);
+    server.shutdown();
+
+    // Exactly once: six answers, no more, even across the retries.
+    EXPECT_EQ(answers.delivered, 6);
+    FakeCounters scratch;
+    FakeWorkload serial(scratch, true);
+    serial.setUp(42);
+    for (const auto &[seed, response] : answers.byTag) {
+        if (seed == 3) {
+            EXPECT_EQ(response.status, serve::RequestStatus::Failed);
+            EXPECT_EQ(response.retries, 2);
+            continue;
+        }
+        EXPECT_EQ(response.status, serve::RequestStatus::Ok)
+            << "seed " << seed;
+        EXPECT_EQ(response.retries, 0) << "seed " << seed;
+        serial.reseedEpisodes(static_cast<uint64_t>(seed));
+        EXPECT_EQ(response.score, serial.run()) << "seed " << seed;
+        if (seed != 100) {
+            EXPECT_TRUE(response.pipelined) << "seed " << seed;
+        }
+    }
+    // Six first-round stage-0 runs plus seed 3's two retries.
+    EXPECT_EQ(counters.runs.load(), 8u);
+    serve::WorkloadMetrics metrics =
+        server.metrics().workload("Staged");
+    EXPECT_EQ(metrics.workerFaults, 3u);
+    EXPECT_EQ(metrics.retries, 2u);
+    EXPECT_EQ(metrics.failed, 1u);
+    EXPECT_EQ(metrics.completed, 5u);
 }
 
 TEST(ServeServer, ShutdownDrainsAndThenRejects)

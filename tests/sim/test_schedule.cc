@@ -140,8 +140,9 @@ TEST(Schedule, ZeroDurationStagesCollapse)
     EXPECT_DOUBLE_EQ(result.makespan, 8.0);
     EXPECT_DOUBLE_EQ(result.sequentialSeconds, 8.0);
     for (const auto &stage : result.stages) {
-        if (g.node(stage.node).name == "instant")
+        if (g.node(stage.node).name == "instant") {
             EXPECT_DOUBLE_EQ(stage.start, stage.end);
+        }
     }
 }
 

@@ -208,8 +208,8 @@ cmdDevices()
  * `nsbench run --pipeline`: executes the episode train seed..seed+N-1
  * both serially and through the stage-pipelined executor, prints the
  * per-stage breakdown and the measured-vs-predicted overlap speedup,
- * and exits 1 if the pipelined scores are not byte-identical to the
- * serial loop.
+ * and exits 1 if a pipelined episode threw or the pipelined scores
+ * are not byte-identical to the serial loop.
  */
 int
 runPipelinedReport(core::Workload &workload, uint64_t seed, int runs,
@@ -246,8 +246,9 @@ runPipelinedReport(core::Workload &workload, uint64_t seed, int runs,
              util::humanSeconds(stage.symbolic.seconds)});
     }
     double predicted = exec::predictedSpeedup(stage_seconds, episodes);
+    int failures = piped.failures();
     bool identical =
-        serial.size() == piped.scores.size() &&
+        failures == 0 && serial.size() == piped.scores.size() &&
         std::equal(serial.begin(), serial.end(), piped.scores.begin(),
                    [](double a, double b) {
                        return std::memcmp(&a, &b, sizeof a) == 0;
@@ -273,8 +274,10 @@ runPipelinedReport(core::Workload &workload, uint64_t seed, int runs,
               << util::fixedStr(piped.overlapSpeedup(), 2)
               << "x measured   " << util::fixedStr(predicted, 2)
               << "x predicted (sim::schedule)\nidentity:  "
-              << (identical
-                      ? "pipelined scores byte-identical to serial"
+              << (identical ? "pipelined scores byte-identical to serial"
+                  : failures > 0
+                      ? "FAILED: " + std::to_string(failures) +
+                            " pipelined episodes threw"
                       : "MISMATCH: pipelined scores differ from "
                         "serial")
               << "\n";
