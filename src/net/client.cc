@@ -252,17 +252,8 @@ Client::close()
 
 serve::RequestStatus
 Client::submit(const std::string &workload, uint64_t episodeSeed,
-               serve::Callback done, serve::TimePoint deadline)
-{
-    return submitSeeded(workload, episodeSeed, options_.modelSeed,
-                        std::move(done), deadline);
-}
-
-serve::RequestStatus
-Client::submitSeeded(const std::string &workload,
-                     uint64_t episodeSeed, uint64_t modelSeed,
-                     serve::Callback done, serve::TimePoint deadline,
-                     uint64_t *wireId)
+               serve::Callback done, serve::TimePoint deadline,
+               uint64_t *wireId)
 {
     if (wireId)
         *wireId = 0;
@@ -271,7 +262,7 @@ Client::submitSeeded(const std::string &workload,
 
     wire::RequestFrame request;
     request.episodeSeed = episodeSeed;
-    request.modelSeed = modelSeed;
+    request.modelSeed = options_.modelSeed;
     request.workload = workload;
     request.deadlineUs =
         encodeDeadlineUs(deadline, serve::ServeClock::now());
@@ -365,8 +356,8 @@ Client::call(const std::string &workload, uint64_t episodeSeed,
     };
     auto waiter = std::make_shared<Waiter>();
     uint64_t wire_id = 0;
-    serve::RequestStatus status = submitSeeded(
-        workload, episodeSeed, options_.modelSeed,
+    serve::RequestStatus status = submit(
+        workload, episodeSeed,
         [waiter](const serve::Response &response) {
             std::lock_guard<std::mutex> lock(waiter->mu);
             waiter->response = response;

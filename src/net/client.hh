@@ -110,32 +110,20 @@ class Client
     /**
      * Sends one request. @p deadline crosses the wire as a relative
      * microsecond budget (noDeadline() -> none), so client and
-     * server clocks need not agree.
+     * server clocks need not agree. When @p wireId is non-null and
+     * the request was written, it receives the connection-level
+     * correlation id, usable with cancel() (0 when nothing was sent).
      */
     serve::RequestStatus submit(const std::string &workload,
                                 uint64_t episodeSeed,
                                 serve::Callback done,
                                 serve::TimePoint deadline =
-                                    serve::noDeadline());
-
-    /**
-     * submit() with an explicit model seed — the router forwards
-     * each request's own seed rather than a per-client constant.
-     * When @p wireId is non-null and the request was written, it
-     * receives the connection-level correlation id, usable with
-     * cancel() (0 when nothing was sent).
-     */
-    serve::RequestStatus submitSeeded(const std::string &workload,
-                                      uint64_t episodeSeed,
-                                      uint64_t modelSeed,
-                                      serve::Callback done,
-                                      serve::TimePoint deadline =
-                                          serve::noDeadline(),
-                                      uint64_t *wireId = nullptr);
+                                    serve::noDeadline(),
+                                uint64_t *wireId = nullptr);
 
     /**
      * Best-effort abandonment of an in-flight request by the wire id
-     * submitSeeded() reported. Sends a Cancel frame when the peer
+     * submit() reported. Sends a Cancel frame when the peer
      * speaks protocol v2+ (no-op otherwise — old servers would treat
      * it as garbage). The request's callback still fires exactly
      * once: with the server's answer, its Canceled response, or

@@ -20,9 +20,9 @@
  *    server's ServerMetrics so `nsbench serve` prints one unified
  *    report.
  *
- * The router reuses FrameServer with its own handler, which is why
- * the transport takes an explicit ServerMetrics rather than a
- * serve::Server.
+ * FrameServer knows nothing of serve::Server: it takes a handler and
+ * an explicit ServerMetrics, so the transport is testable on its own
+ * and the binding stays a thin adapter.
  *
  * Threading contract: sockets are read, decoded and closed only on
  * the loop thread. respond() from other threads appends to the
@@ -56,7 +56,7 @@
 namespace nsbench::net
 {
 
-/** Transport knobs, shared by the serve front end and the router. */
+/** Transport knobs for the serve front end. */
 struct FrameServerOptions
 {
     std::string host = "127.0.0.1"; ///< Bind address (IPv4 dotted).

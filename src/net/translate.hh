@@ -5,8 +5,8 @@
  * The wire layer (net/wire.hh) is deliberately standalone — pure
  * bytes, no serving types — so the protocol is testable without a
  * server. These helpers are the one bridge between the two
- * vocabularies, shared by the TCP front end (response out), the
- * client (response in) and the router (response through).
+ * vocabularies, shared by the TCP front end (response out) and the
+ * client (response in).
  *
  * The score crosses as its raw IEEE-754 bit pattern in both
  * directions, so translate(translate(x)) is byte-identical — the

@@ -44,7 +44,8 @@ inline constexpr uint32_t kMagic = 0x5742534E;
 
 /** Protocol version this library speaks. Version history:
  *   1 — Hello/HelloAck/Request/Response.
- *   2 — adds Cancel (client -> server, best-effort hedge pruning).
+ *   2 — adds Cancel (client -> server, best-effort pruning of an
+ *       abandoned queued request).
  * Handshakes accept any version in [kMinVersion, kVersion]; a peer
  * that acked version 1 is never sent Cancel frames. */
 inline constexpr uint16_t kVersion = 2;
@@ -86,9 +87,9 @@ enum ResponseFlags : uint32_t
 /**
  * One inference request. The model seed is informational — a server
  * builds its replicas once at its own model seed; 0 means "whatever
- * the server was built with" and routers hash it for affinity.
- * The deadline is *relative* (microseconds from receipt; 0 = none)
- * so the protocol needs no clock synchronization.
+ * the server was built with". The deadline is *relative*
+ * (microseconds from receipt; 0 = none) so the protocol needs no
+ * clock synchronization.
  */
 struct RequestFrame
 {
@@ -127,8 +128,8 @@ struct ResponseFrame
 };
 
 /**
- * Best-effort abandonment of an earlier Request (hedged duplicates
- * that lost the race). The server may still answer the request —
+ * Best-effort abandonment of an earlier Request the client no
+ * longer wants. The server may still answer the request —
  * cancellation is advisory, and the Cancel itself is never
  * acknowledged. Protocol version 2+.
  */

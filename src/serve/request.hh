@@ -49,13 +49,13 @@ enum class RequestStatus
     /**
      * The network layer could not reach a server at all: a remote
      * submit failed to connect (after the client's reconnect
-     * attempts), or a router found every backend down. Counted as an
-     * admission-time rejection — the request never entered a queue.
+     * attempts). Counted as an admission-time rejection — the
+     * request never entered a queue.
      */
     RejectedUnreachable,
     /**
-     * The submitter abandoned the request while it was queued (a
-     * hedged duplicate lost its race) and the server pruned it before
+     * The submitter abandoned the request while it was queued (its
+     * client sent a wire Cancel) and the server pruned it before
      * execution. A terminal post-admission outcome like Expired, not
      * an admission rejection: the callback still fires exactly once,
      * with this status. Appended last so earlier statuses keep their

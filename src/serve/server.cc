@@ -416,15 +416,14 @@ Server::execute(Replica &replica, std::vector<Request> live,
     // fault or failed episode retries in the next round. Retries are
     // bounded with exponential backoff, and each backoff re-prunes,
     // so a long outage never runs work whose deadline already passed
-    // or whose submitter already gave up (a losing hedge).
+    // or whose submitter already gave up (a wire Cancel).
     TimePoint start = ServeClock::now();
     for (int round = 1; !pending.empty(); round++) {
         std::vector<uint64_t> seeds;
         for (Pending &p : pending) {
             // A firing delay site sleeps in evaluate() and returns
             // false: the stall lands inside this request's service
-            // time — the slow-not-dead shard the tail layer (breaker
-            // + hedging) exists to route around.
+            // time, as a slow-not-dead server would show it.
             util::WallTimer timer;
             NSBENCH_FAILPOINT(fp::sites::kWorkerDelay);
             p.stall = timer.elapsed();

@@ -72,13 +72,14 @@ inline constexpr const char *kNetAccept = "net.accept";
 inline constexpr const char *kNetRead = "net.read";
 /** TCP front end treats a socket write as failed (connection closes). */
 inline constexpr const char *kNetWrite = "net.write";
-/** Client connect() attempt to a backend fails (reconnect/backoff
- *  path in the client; health/failover path in the router). */
+/** Client connect() attempt to a server fails (the client's
+ *  reconnect/backoff path; once exhausted, a submit answers
+ *  RejectedUnreachable). */
 inline constexpr const char *kNetBackendConnect = "net.backend.connect";
-/** Dedicated slow-worker site: evaluated by delay-decorated workload
- *  replicas (bench/scaling_tail), never by the stock server, so one
- *  backend in a multi-backend process can be made slow. Only
- *  meaningful with a `~DELAY` action. */
+/** Slow-worker site: the server's dispatch evaluates it for each
+ *  request of every execution round, before the run, so a firing
+ *  `~DELAY` lands inside that request's service time (a
+ *  slow-not-dead server). Only meaningful with a `~DELAY` action. */
 inline constexpr const char *kWorkerDelay = "serve.worker.delay";
 } // namespace sites
 

@@ -159,44 +159,6 @@ TEST(CliNegative, NonNumericDelayFaultSuffixIsRejected)
         << result.output;
 }
 
-TEST(CliNegative, OutOfRangeHedgeBudgetIsRejected)
-{
-    CliResult result =
-        runCli("route --backends 127.0.0.1:1 --hedge-budget 1.5 "
-               "--duration 0.1");
-    EXPECT_EQ(result.exitCode, 2);
-    EXPECT_NE(result.output.find("--hedge-budget must be in [0, 1]"),
-              std::string::npos)
-        << result.output;
-}
-
-TEST(CliNegative, InvertedHedgeDelayClampIsRejected)
-{
-    CliResult result = runCli(
-        "route --listen 127.0.0.1:0 --backends 127.0.0.1:1 "
-        "--hedge-min-delay-us 5000 --hedge-max-delay-us 1000 "
-        "--duration 0.1");
-    EXPECT_EQ(result.exitCode, 2);
-    EXPECT_NE(result.output.find("--hedge-min-delay-us must not "
-                                 "exceed"),
-              std::string::npos)
-        << result.output;
-}
-
-TEST(CliNegative, BreakerLatencyFactorMustExceedOne)
-{
-    // A factor <= 1 would trip on any backend at or below the
-    // reference latency — i.e. on perfectly healthy ones.
-    CliResult result = runCli(
-        "route --backends 127.0.0.1:1 --breaker-latency-factor 1.0 "
-        "--duration 0.1");
-    EXPECT_EQ(result.exitCode, 2);
-    EXPECT_NE(result.output.find(
-                  "--breaker-latency-factor must be > 1"),
-              std::string::npos)
-        << result.output;
-}
-
 TEST(CliNegative, NegativeSojournTargetIsRejected)
 {
     CliResult result =

@@ -45,13 +45,9 @@ seedTrain(int episodes, uint64_t base = 42)
     return seeds;
 }
 
-/** All seven paper workloads at serve-preset sizes. */
-std::vector<std::string>
-allWorkloads()
-{
-    workloads::registerAllWorkloads();
-    return {"LNN", "LTN", "NVSA", "NLM", "VSAIT", "ZeroC", "PrAE"};
-}
+/** All seven paper workloads, one byte-identity case each. */
+const std::vector<std::string> kAllWorkloads = {
+    "LNN", "LTN", "NVSA", "NLM", "VSAIT", "ZeroC", "PrAE"};
 
 /**
  * Deterministic two-stage workload: stage 0 squares the seed into
@@ -131,31 +127,43 @@ class FaultyStaged : public ToyStaged
     int failEpisode_;
 };
 
-TEST(Pipeline, ByteIdenticalToSerialAcrossWorkloadsAndDepths)
+/** One case per workload (serve-preset sizes), so each is its own
+ *  ctest entry under the tier's timeout. */
+class PipelineEquivalence
+    : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(PipelineEquivalence, ByteIdenticalToSerialAcrossDepths)
 {
-    for (const std::string &name : allWorkloads()) {
-        auto workload = serve::serveFactory(name);
-        ASSERT_NE(workload, nullptr) << name;
-        workload->setUp(7);
-        auto seeds = seedTrain(4);
-        std::vector<double> serial =
-            exec::runSerialEpisodes(*workload, seeds);
-        for (int depth : {1, 2, 4}) {
-            exec::PipelineOptions options;
-            options.depth = depth;
-            options.collectProfiles = false;
-            exec::PipelineResult piped =
-                exec::runPipelined(*workload, seeds, options);
-            ASSERT_EQ(piped.scores.size(), serial.size())
-                << name << " depth " << depth;
-            for (size_t i = 0; i < serial.size(); i++) {
-                EXPECT_EQ(piped.scores[i], serial[i])
-                    << name << " depth " << depth << " episode "
-                    << i;
-            }
+    workloads::registerAllWorkloads();
+    const std::string &name = GetParam();
+    auto workload = serve::serveFactory(name);
+    ASSERT_NE(workload, nullptr) << name;
+    workload->setUp(7);
+    auto seeds = seedTrain(4);
+    std::vector<double> serial =
+        exec::runSerialEpisodes(*workload, seeds);
+    for (int depth : {1, 2, 4}) {
+        exec::PipelineOptions options;
+        options.depth = depth;
+        options.collectProfiles = false;
+        exec::PipelineResult piped =
+            exec::runPipelined(*workload, seeds, options);
+        ASSERT_EQ(piped.scores.size(), serial.size())
+            << name << " depth " << depth;
+        for (size_t i = 0; i < serial.size(); i++) {
+            EXPECT_EQ(piped.scores[i], serial[i])
+                << name << " depth " << depth << " episode " << i;
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryWorkload, PipelineEquivalence,
+    ::testing::ValuesIn(kAllWorkloads),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(Pipeline, SingleStageWorkloadDegeneratesToSerial)
 {

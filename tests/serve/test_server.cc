@@ -281,10 +281,10 @@ TEST(ServeServer, CacheOffMergesOnlyConcurrentDuplicates)
 
 TEST(ServeServer, PrunedLeaderAnswersOnlyItself)
 {
-    // A queued single-flight leader that is canceled (a losing hedge)
-    // or outlives its deadline answers Canceled / Expired itself, but
-    // its followers — no cancel token, no deadline — still get the
-    // shared run. The gate holds the only worker so the leader and
+    // A queued single-flight leader that is canceled (its client sent
+    // a wire Cancel) or outlives its deadline answers Canceled /
+    // Expired itself, but its followers — no cancel token, no
+    // deadline — still get the shared run. The gate holds the only worker so the leader and
     // its follower are both queued when the leader is pruned.
     for (bool cache : {false, true}) {
         SCOPED_TRACE(cache ? "cache on" : "cache off");

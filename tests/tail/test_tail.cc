@@ -1,7 +1,7 @@
 /**
  * @file
- * Tail-tolerance tier: everything the serving runtime does about
- * slow-not-dead peers, end to end.
+ * Tail-tolerance tier: delays, deadlines, cancellation and sojourn
+ * shedding in the serving runtime, end to end.
  *
  *  - Delay failpoints (`~DELAYus`): the action is a sleep plus "no
  *    fault", the schedule stays a pure function of the spec, and
@@ -16,9 +16,6 @@
  *    call() — it synthesizes Expired after deadline plus grace.
  *  - CoDel-style sojourn shedding: a queue that drains slowly sheds
  *    at submit even though it never fills.
- *  - Hedged requests: a delayed backend's keys still answer fast
- *    (the hedge to a healthy ring neighbour wins), byte-identically.
- *  - Reporting: `route --json`'s per-backend health fields, pinned.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,15 +35,15 @@
 #include <thread>
 #include <vector>
 
-#include "core/workload.hh"
 #include "net/client.hh"
-#include "net/router.hh"
 #include "net/tcp_server.hh"
 #include "net/wire.hh"
 #include "serve/presets.hh"
 #include "serve/server.hh"
 #include "util/failpoint.hh"
 #include "workloads/register.hh"
+
+#include "../serve/fake_workload.hh"
 
 namespace
 {
@@ -87,60 +83,6 @@ class Waiter
     std::condition_variable cv_;
     bool done_ = false;
     serve::Response response_;
-};
-
-/** Forwards to the wrapped workload, stalling before each run().
- *  The failpoint registry is process-global and the server evaluates
- *  `serve.worker.delay` in every worker, so a multi-backend process
- *  scopes slowness to ONE backend by decorating its replicas with an
- *  unconditional sleep instead of arming the site. */
-class DelayedWorkload : public core::Workload
-{
-  public:
-    DelayedWorkload(std::unique_ptr<core::Workload> inner,
-                    uint64_t delayUs)
-        : inner_(std::move(inner)), delayUs_(delayUs)
-    {
-    }
-
-    std::string name() const override { return inner_->name(); }
-    core::Paradigm paradigm() const override
-    {
-        return inner_->paradigm();
-    }
-    std::string taskDescription() const override
-    {
-        return inner_->taskDescription();
-    }
-    void setUp(uint64_t seed) override { inner_->setUp(seed); }
-    double
-    run() override
-    {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(delayUs_));
-        return inner_->run();
-    }
-    void
-    reseedEpisodes(uint64_t seed) override
-    {
-        inner_->reseedEpisodes(seed);
-    }
-    bool seedSensitive() const override
-    {
-        return inner_->seedSensitive();
-    }
-    core::OpGraph opGraph() const override
-    {
-        return inner_->opGraph();
-    }
-    uint64_t storageBytes() const override
-    {
-        return inner_->storageBytes();
-    }
-
-  private:
-    std::unique_ptr<core::Workload> inner_;
-    uint64_t delayUs_;
 };
 
 class Tail : public ::testing::Test
@@ -309,9 +251,9 @@ singleWorkerOptions()
 
 TEST_F(Tail, WorkerDelaySiteStallsTheServersDispatch)
 {
-    // The armed site must bite inside the real worker path — not
-    // only through decorated replicas — so `serve --faults
-    // 'serve.worker.delay=...'` makes a genuinely slow backend.
+    // The armed site must bite inside the real worker path, so
+    // `serve --faults 'serve.worker.delay=...'` makes a genuinely
+    // slow server.
     serve::Server server(singleWorkerOptions());
     ASSERT_EQ(fp::configure("serve.worker.delay=1.0@11~50000"), "");
     Waiter waiter;
@@ -367,15 +309,15 @@ TEST_F(Tail, WireCancelPrunesAQueuedRequest)
     net::Client client(client_options);
 
     Waiter first;
-    ASSERT_EQ(client.submitSeeded("LNN", 1, 0, first.callback()),
+    ASSERT_EQ(client.submit("LNN", 1, first.callback()),
               serve::RequestStatus::Ok);
     // Give the worker time to pick request 1 up and start sleeping.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
     Waiter second;
     uint64_t wire_id = 0;
-    ASSERT_EQ(client.submitSeeded("LNN", 2, 0, second.callback(),
-                                  serve::noDeadline(), &wire_id),
+    ASSERT_EQ(client.submit("LNN", 2, second.callback(),
+                            serve::noDeadline(), &wire_id),
               serve::RequestStatus::Ok);
     ASSERT_NE(wire_id, 0u);
     client.cancel(wire_id);
@@ -586,12 +528,19 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
 {
     // Each execution sleeps 60ms; the queue never fills (capacity
     // default) but drains far slower than the 2ms sojourn target —
-    // the CoDel-style gate must start shedding at submit. ZeroC is
-    // seed-sensitive, so every seed is its own key and queues (LNN
-    // would fold them all onto one single-flight key).
+    // the CoDel-style gate must start shedding at submit. The fake
+    // runs in no time of its own, so the injected delay alone sets
+    // the drain rate, even under a sanitizer. It is seed-sensitive,
+    // so every seed is its own key and queues (a seed-insensitive
+    // workload would fold them all onto one single-flight key).
     ASSERT_EQ(fp::configure("serve.worker.run=1.0@5~60000"), "");
-    serve::ServerOptions options = singleWorkerOptions();
-    options.workloads = {"ZeroC"};
+    tests::FakeCounters counters;
+    serve::ServerOptions options;
+    options.workloads = {"Fake"};
+    options.workers = 1;
+    options.factory = [&counters](const std::string &) {
+        return std::make_unique<tests::FakeWorkload>(counters, true);
+    };
     options.targetSojournUs = 2000;
     options.sojournGraceUs = 0;
     serve::Server server(options);
@@ -600,7 +549,7 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
     int shed = 0, admitted = 0;
     for (uint64_t seed = 0; seed < 24; seed++) {
         serve::RequestStatus status = server.submit(
-            "ZeroC", seed,
+            "Fake", seed,
             [&callbacks](const serve::Response &) { callbacks++; });
         if (status == serve::RequestStatus::RejectedOverload)
             shed++;
@@ -614,148 +563,6 @@ TEST_F(Tail, SojournGateShedsWhenTheQueueDrainsSlowly)
     EXPECT_EQ(callbacks.load(), admitted);
     EXPECT_GE(server.metrics().total().sojournSheds,
               static_cast<uint64_t>(shed));
-}
-
-// --- Hedged requests --------------------------------------------------
-
-TEST_F(Tail, HedgeCoversADelayedBackendByteIdentically)
-{
-    // Backend 0 sleeps 2s per execution (decorated replicas);
-    // backend 1 is healthy. With hedging on and the breaker's
-    // statistical triggers disabled, a key placed on the slow shard
-    // must still answer fast — the hedge to the healthy neighbour
-    // wins — and byte-identically to direct execution. The stall is
-    // deliberately huge: the hedge path must beat it even when a
-    // parallel ctest job owns the core for hundreds of ms.
-    auto make_backend = [](bool slow) {
-        serve::ServerOptions options;
-        options.workloads = {"LNN"};
-        options.workers = 2;
-        options.resultCache = false;
-        if (slow)
-            options.factory = [](const std::string &name) {
-                return std::make_unique<DelayedWorkload>(
-                    serve::serveFactory(name), 2'000'000);
-            };
-        else
-            options.factory = serve::serveFactory;
-        struct Backend
-        {
-            std::unique_ptr<serve::Server> server;
-            std::unique_ptr<net::TcpServer> tcp;
-        };
-        auto backend = std::make_unique<serve::Server>(options);
-        auto tcp = std::make_unique<net::TcpServer>(*backend);
-        return std::make_pair(std::move(backend), std::move(tcp));
-    };
-    auto [slow_server, slow_tcp] = make_backend(true);
-    auto [fast_server, fast_tcp] = make_backend(false);
-
-    net::RouterOptions options;
-    options.backends = {
-        "127.0.0.1:" + std::to_string(slow_tcp->port()),
-        "127.0.0.1:" + std::to_string(fast_tcp->port())};
-    options.hedging = true;
-    options.hedgeMinSamples = 4;
-    options.hedgeMaxDelaySeconds = 0.020;
-    // Isolate hedging: the breaker may only trip on hard
-    // unreachability, never on the latency EWMA.
-    options.breaker.minSamples = ~0ull;
-    net::Router router(options);
-    net::ClientOptions client_options;
-    client_options.port = router.port();
-    net::Client client(client_options);
-
-    // Split the key space by placement.
-    std::vector<uint64_t> fast_keys, slow_keys;
-    for (uint64_t seed = 0; seed < 64; seed++)
-        (router.shardOf("LNN", 0, seed) == 0 ? slow_keys
-                                             : fast_keys)
-            .push_back(seed);
-    ASSERT_GE(fast_keys.size(), 6u);
-    ASSERT_GE(slow_keys.size(), 1u);
-
-    // Prime the workload's p95 with healthy completions so hedging
-    // arms (hedgeMinSamples) with a fast delay.
-    for (size_t i = 0; i < 6; i++)
-        ASSERT_EQ(client.call("LNN", fast_keys[i]).status,
-                  serve::RequestStatus::Ok);
-
-    // A slow-shard key: the primary sits in the 2s sleep; the
-    // hedge must answer long before it.
-    auto start = std::chrono::steady_clock::now();
-    serve::Response response = client.call("LNN", slow_keys[0]);
-    double elapsed = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    EXPECT_EQ(response.status, serve::RequestStatus::Ok);
-    EXPECT_LT(elapsed, 1.0) << "hedge did not cover the slow shard";
-
-    net::HedgeStats hedges = router.hedgeStats();
-    EXPECT_GE(hedges.hedgesSent, 1u);
-    EXPECT_GE(hedges.hedgesWon, 1u);
-
-    // First-response-wins is safe only because both answers are the
-    // same bytes — check against direct execution.
-    auto replica = serve::serveFactory("LNN");
-    replica->setUp(serve::ServerOptions{}.modelSeed);
-    replica->reseedEpisodes(slow_keys[0]);
-    double direct = replica->run();
-    EXPECT_EQ(std::memcmp(&response.score, &direct, sizeof direct),
-              0);
-
-    client.close();
-    router.shutdown();
-    slow_tcp->shutdown();
-    fast_tcp->shutdown();
-}
-
-// --- Reporting --------------------------------------------------------
-
-TEST_F(Tail, BackendJsonCarriesBreakerAndHedgeFields)
-{
-    struct Backend
-    {
-        std::unique_ptr<serve::Server> server;
-        std::unique_ptr<net::TcpServer> tcp;
-    };
-    std::vector<Backend> backends(2);
-    net::RouterOptions options;
-    for (auto &backend : backends) {
-        backend.server = std::make_unique<serve::Server>(
-            singleWorkerOptions());
-        backend.tcp =
-            std::make_unique<net::TcpServer>(*backend.server);
-        options.backends.push_back(
-            "127.0.0.1:" + std::to_string(backend.tcp->port()));
-    }
-    net::Router router(options);
-    net::ClientOptions client_options;
-    client_options.port = router.port();
-    net::Client client(client_options);
-    for (uint64_t seed = 0; seed < 8; seed++)
-        ASSERT_EQ(client.call("LNN", seed).status,
-                  serve::RequestStatus::Ok);
-
-    // The `route --json` contract: one object per backend with the
-    // breaker state and the forwarding counters. Field names are
-    // pinned here — dashboards parse them.
-    std::string json = router.backendJson();
-    for (const char *field :
-         {"\"endpoint\"", "\"breaker\":\"closed\"", "\"down\"",
-          "\"error_rate\"", "\"latency_ewma_seconds\"",
-          "\"inflight\"", "\"forwarded\"", "\"hedges\"",
-          "\"hedge_wins\"", "\"cancels\"", "\"failovers\"",
-          "\"saturated\"", "\"trips\"", "\"probes\""})
-        EXPECT_NE(json.find(field), std::string::npos)
-            << "missing " << field << " in " << json;
-    for (const auto &backend : options.backends)
-        EXPECT_NE(json.find(backend), std::string::npos);
-
-    client.close();
-    router.shutdown();
-    for (auto &backend : backends)
-        backend.tcp->shutdown();
 }
 
 } // namespace

@@ -8,7 +8,6 @@
  *   run <workload> [options]  profile one workload and print reports
  *   serve [options]           serve workloads under closed-loop load
  *   loadgen [options]         serve under an open-loop Poisson load
- *   route [options]           shard requests across TCP backends
  *
  * `serve` and `loadgen` start an inference server over
  * pre-warmed replicas, drive it with the built-in load generator for
@@ -20,10 +19,8 @@
  * Networking (docs/DESIGN.md §7h): `serve --listen [HOST:]PORT`
  * exposes the server over TCP instead of driving it in-process;
  * `serve|loadgen --connect HOST:PORT --workloads A,B` runs the same
- * load generator against a remote server; `route --listen PORT
- * --backends H:P,H:P` shards requests across several servers by
- * consistent hashing. All serving modes accept `--json PATH` for a
- * machine-readable result record.
+ * load generator against a remote server. All serving modes accept
+ * `--json PATH` for a machine-readable result record.
  *
  * Options for `run`:
  *   --seed N       RNG seed (default 42)
@@ -78,7 +75,6 @@
 #include "exec/pipeline.hh"
 #include "common.hh"
 #include "net/client.hh"
-#include "net/router.hh"
 #include "net/tcp_server.hh"
 #include "serve/loadgen.hh"
 #include "serve/presets.hh"
@@ -128,16 +124,7 @@ usage()
            "              [--retry-backoff-us N] [--shed-at F]\n"
            "              [--no-stale] [--pipeline[=D]]\n"
            "              [--target-sojourn-us N]\n"
-           "              [--sojourn-grace-us N]\n"
-           "  nsbench route --listen [HOST:]PORT\n"
-           "              --backends HOST:PORT,HOST:PORT,...\n"
-           "              [--duration S] [--json PATH] [--csv]\n"
-           "              [--no-hedging] [--hedge-budget F]\n"
-           "              [--hedge-min-delay-us N]\n"
-           "              [--hedge-max-delay-us N]\n"
-           "              [--breaker-error-rate F]\n"
-           "              [--breaker-latency-factor F]\n"
-           "              [--retry-down S]\n";
+           "              [--sojourn-grace-us N]\n";
     return 2;
 }
 
@@ -444,9 +431,9 @@ splitList(const std::string &text)
 }
 
 /**
- * Everything `serve`, `loadgen` and `route` parse — one struct, one
- * parser, one source of defaults for the whole serving surface
- * (in-process, TCP front end, remote load generation, router).
+ * Everything `serve` and `loadgen` parse — one struct, one parser,
+ * one source of defaults for the whole serving surface (in-process,
+ * TCP front end, remote load generation).
  */
 struct ServeCli
 {
@@ -454,13 +441,9 @@ struct ServeCli
     serve::LoadgenOptions load;
     bool csv = false;
     bool usePreset = true;
-    std::string listen;   ///< --listen [HOST:]PORT (serve / route).
+    std::string listen;   ///< --listen [HOST:]PORT (serve).
     std::string connect;  ///< --connect HOST:PORT (remote loadgen).
-    std::vector<std::string> backends; ///< --backends (route only).
     std::string jsonPath; ///< --json PATH (bench-style emission).
-    /** Router tail-tolerance knobs (route only); listen/backends
-     *  are filled from the fields above by cmdRoute. */
-    net::RouterOptions router;
 
     ServeCli() { server.workloads = {"LNN", "LTN", "NLM"}; }
 };
@@ -505,7 +488,7 @@ parseConnectSpec(const std::string &spec)
 }
 
 /**
- * Parses the shared serve/loadgen/route option set into @p cli.
+ * Parses the shared serve/loadgen option set into @p cli.
  * @return -1 on success, else the exit code to return.
  */
 int
@@ -630,54 +613,6 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
                 std::cerr << "--sojourn-grace-us must be >= 0\n";
                 return 2;
             }
-        } else if (arg == "--no-hedging") {
-            cli->router.hedging = false;
-        } else if (arg == "--hedge-budget") {
-            cli->router.hedgeBudget = std::atof(next());
-            if (cli->router.hedgeBudget < 0.0 ||
-                cli->router.hedgeBudget > 1.0) {
-                std::cerr << "--hedge-budget must be in [0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--hedge-min-delay-us") {
-            long long us = std::atoll(next());
-            if (us <= 0) {
-                std::cerr << "--hedge-min-delay-us must be "
-                             "positive\n";
-                return 2;
-            }
-            cli->router.hedgeMinDelaySeconds =
-                static_cast<double>(us) * 1e-6;
-        } else if (arg == "--hedge-max-delay-us") {
-            long long us = std::atoll(next());
-            if (us <= 0) {
-                std::cerr << "--hedge-max-delay-us must be "
-                             "positive\n";
-                return 2;
-            }
-            cli->router.hedgeMaxDelaySeconds =
-                static_cast<double>(us) * 1e-6;
-        } else if (arg == "--breaker-error-rate") {
-            cli->router.breaker.errorThreshold = std::atof(next());
-            if (cli->router.breaker.errorThreshold <= 0.0 ||
-                cli->router.breaker.errorThreshold > 1.0) {
-                std::cerr
-                    << "--breaker-error-rate must be in (0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--breaker-latency-factor") {
-            cli->router.breaker.latencyFactor = std::atof(next());
-            if (cli->router.breaker.latencyFactor <= 1.0) {
-                std::cerr
-                    << "--breaker-latency-factor must be > 1\n";
-                return 2;
-            }
-        } else if (arg == "--retry-down") {
-            cli->router.retryDownSeconds = std::atof(next());
-            if (cli->router.retryDownSeconds <= 0.0) {
-                std::cerr << "--retry-down must be positive\n";
-                return 2;
-            }
         } else if (parsePipelineArg(arg,
                                     &server_options.pipelineDepth)) {
             // depth captured by the parser
@@ -685,8 +620,6 @@ parseServeArgs(int argc, char **argv, ServeCli *cli)
             cli->listen = next();
         } else if (arg == "--connect") {
             cli->connect = next();
-        } else if (arg == "--backends") {
-            cli->backends = splitList(next());
         } else if (arg == "--json") {
             cli->jsonPath = next();
         } else if (arg.rfind("--json=", 0) == 0) {
@@ -925,10 +858,6 @@ cmdServe(int argc, char **argv, bool open_loop)
         std::cerr << "--listen and --connect are exclusive\n";
         return 2;
     }
-    if (!cli.backends.empty()) {
-        std::cerr << "--backends only applies to `nsbench route`\n";
-        return 2;
-    }
     if (cli.usePreset)
         cli.server.factory = serve::serveFactory;
 
@@ -1016,96 +945,6 @@ cmdServe(int argc, char **argv, bool open_loop)
     return 0;
 }
 
-/**
- * `nsbench route --listen [HOST:]PORT --backends H:P,...`: runs the
- * sharded consistent-hashing router in front of N `serve --listen`
- * processes for the configured window.
- */
-int
-cmdRoute(int argc, char **argv)
-{
-    ServeCli cli;
-    int rc = parseServeArgs(argc, argv, &cli);
-    if (rc >= 0)
-        return rc;
-    if (cli.listen.empty() || cli.backends.empty()) {
-        std::cerr << "route needs --listen [HOST:]PORT and "
-                     "--backends HOST:PORT,...\n";
-        return 2;
-    }
-    if (cli.load.durationSeconds <= 0.0) {
-        std::cerr << "--duration must be positive\n";
-        return 2;
-    }
-    if (cli.router.hedgeMinDelaySeconds >
-        cli.router.hedgeMaxDelaySeconds) {
-        std::cerr << "--hedge-min-delay-us must not exceed "
-                     "--hedge-max-delay-us\n";
-        return 2;
-    }
-
-    net::RouterOptions options = cli.router;
-    options.listen = parseListenSpec(cli.listen);
-    options.backends = cli.backends;
-    net::Router router(options);
-    if (!cli.csv) {
-        std::cout << "routing " << options.listen.host << ":"
-                  << router.port() << " -> ";
-        for (size_t i = 0; i < cli.backends.size(); i++)
-            std::cout << (i ? "," : "") << cli.backends[i];
-        std::cout << " for "
-                  << util::fixedStr(cli.load.durationSeconds, 1)
-                  << "s\n"
-                  << std::flush;
-    }
-
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        cli.load.durationSeconds));
-    router.shutdown();
-
-    if (router.metrics().total().offered > 0) {
-        printTable(router.metrics().table(), cli.csv);
-        if (!cli.csv)
-            std::cout << "\n";
-    }
-    printTable(router.backendTable(), cli.csv);
-    if (!cli.csv)
-        std::cout << "\n";
-    printTable(router.metrics().netTable(), cli.csv);
-
-    net::HedgeStats hedges = router.hedgeStats();
-    if (!cli.csv) {
-        std::cout << "hedging:  "
-                  << (options.hedging ? "on" : "off") << " — "
-                  << hedges.hedgesSent << " sent, "
-                  << hedges.hedgesWon << " won, "
-                  << hedges.hedgesDenied << " budget-denied, "
-                  << hedges.cancelsSent << " cancel(s)\n";
-        printFailpointsLine();
-    }
-
-    serve::WorkloadMetrics totals = router.metrics().total();
-    uint64_t forwarded = 0;
-    std::ostringstream shards;
-    bool first = true;
-    for (const net::BackendStats &backend : router.backendStats()) {
-        forwarded += backend.forwarded;
-        shards << (first ? "" : ",") << backend.forwarded;
-        first = false;
-    }
-    std::ostringstream json;
-    json << "{\"mode\":\"route\",\"completed\":" << totals.completed
-         << ",\"forwarded\":" << forwarded << ",\"per_backend\":["
-         << shards.str() << "],\"shed\":" << totals.rejected()
-         << ",\"hedges_sent\":" << hedges.hedgesSent
-         << ",\"hedges_won\":" << hedges.hedgesWon
-         << ",\"hedges_denied\":" << hedges.hedgesDenied
-         << ",\"cancels\":" << hedges.cancelsSent
-         << ",\"backends\":" << router.backendJson() << "}";
-    bench::writeBenchJson(argc, argv, json.str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1128,7 +967,5 @@ main(int argc, char **argv)
         return cmdServe(argc - 2, argv + 2, /*open_loop=*/false);
     if (cmd == "loadgen")
         return cmdServe(argc - 2, argv + 2, /*open_loop=*/true);
-    if (cmd == "route")
-        return cmdRoute(argc - 2, argv + 2);
     return usage();
 }
